@@ -1,6 +1,6 @@
 """BENCH: the batched allocation front-end vs the scalar path.
 
-Emits ``benchmarks/results/BENCH_alloc_front.json`` with three runs:
+Emits ``benchmarks/results/BENCH_alloc_front.json`` with four runs:
 
 * **allocation storm** — N uniform objects through one site.  Scalar:
   ``VM.allocate_at_site`` per object (per-object ``HeapObject``
@@ -15,11 +15,16 @@ Emits ``benchmarks/results/BENCH_alloc_front.json`` with three runs:
   kernels alone only reached 1.63x because allocation stayed scalar.
   Both engines here use the columnar collector; only the allocation
   front-end differs.
+* **request loop** — a Cassandra-write-shaped loop: per request 5
+  objects across 4 sites (one reached through a call), linked into a
+  row that a holder keeps.  ``SimThread.alloc`` on the allocation credit
+  vs the frozen scalar chain (``tests/runtime/scalar_oracle.py``).
 
 Every comparison asserts *observable parity* with the scalar path
 unconditionally (placements, clock, recorder streams).  Timing gates
-(storm ≥ 5x, composite ≥ 3x) are skipped when ``REPRO_BENCH_SMOKE`` is
-set, so CI smoke runs fail on correctness only, never on a slow runner.
+(storm ≥ 5x, composite ≥ 3x, request loop ≥ 1.25x) are skipped when
+``REPRO_BENCH_SMOKE`` is set, so CI smoke runs fail on correctness only,
+never on a slow runner.
 """
 
 import json
@@ -36,6 +41,7 @@ from repro.heap.evacuation import SurvivorTenuring
 from repro.heap.objects import reset_identity_hashes
 from repro.runtime.code import ClassModel
 from repro.runtime.vm import VM
+from tests.runtime.scalar_oracle import oracle_alloc, oracle_write_ref
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -49,6 +55,7 @@ SITE_LINE = 10
 LIVE_BLOCK = 192
 DEAD_BLOCK = 64
 ROUNDS = 1 if SMOKE else 5
+REQUESTS = 2_000 if SMOKE else 40_000
 
 
 def build_vm(record_hook=False):
@@ -119,6 +126,56 @@ def composite_cycle(alloc_fn, count):
     plan = SurvivorTenuring(young, dest, vm.config.tenure_threshold)
     heap.evacuate(list(young.regions), live, young, plan)
     return vm
+
+
+def request_loop(scalar: bool, requests: int = REQUESTS):
+    """Cassandra-write-shaped requests: row, two cell blocks, an index
+    entry, and a clone made in a helper call; the row links the other
+    four and a holder keeps every 16th row (the rest die young)."""
+    reset_identity_hashes()
+    vm = VM(SimConfig.small(), collector=G1Collector())
+    store = ClassModel("Store")
+    put = store.add_method("put")
+    put.add_alloc_site(10, "Row", 96)
+    put.add_alloc_site(11, "Cells", 256)
+    put.add_alloc_site(12, "IndexEntry", 64)
+    put.add_call_site(20, "Util", "clone")
+    util = ClassModel("Util")
+    util.add_method("clone").add_alloc_site(30, "Clone", 96)
+    vm.classloader.load_all([store, util])
+    thread = vm.new_thread("bench")
+    holder = vm.allocate_anonymous(64)
+    vm.roots.pin("holder", holder)
+    if scalar:
+        def alloc(line):
+            return oracle_alloc(thread, line, keep=False)
+
+        def link(parent, child):
+            oracle_write_ref(vm.heap, parent, child)
+    else:
+        def alloc(line):
+            return thread.alloc(line, keep=False)
+
+        link = vm.heap.write_ref
+    call = thread.call
+    with thread.entry("Store", "put"):
+        for i in range(requests):
+            row = alloc(10)
+            link(row, alloc(11))
+            link(row, alloc(11))
+            link(row, alloc(12))
+            with call(20, "Util", "clone"):
+                link(row, alloc(30))
+            if i % 16 == 0:
+                link(holder, row)
+    return vm
+
+
+def pause_series(vm):
+    return [
+        (p.kind, p.start_ms, p.duration_ms, sorted(p.stats.items()))
+        for p in vm.collector.pauses
+    ]
 
 
 def time_run(fn, rounds: int = ROUNDS) -> float:
@@ -209,6 +266,19 @@ def test_alloc_front():
     )
     composite_speedup = scalar_composite_s / batched_composite_s
 
+    # -- request loop: credit path vs the frozen scalar chain --------------
+    vm_s = request_loop(scalar=True)
+    vm_c = request_loop(scalar=False)
+    assert placement_state(vm_c) == placement_state(vm_s), (
+        "credit-path request loop diverged from the scalar chain"
+    )
+    assert pause_series(vm_c) == pause_series(vm_s)
+    assert vm_s.collector.pauses, "the request loop never collected"
+    vm_c.heap.verify()
+    scalar_loop_s = time_run(lambda: request_loop(scalar=True))
+    credit_loop_s = time_run(lambda: request_loop(scalar=False))
+    loop_speedup = scalar_loop_s / credit_loop_s
+
     payload = {
         "bench": "alloc_front",
         "smoke": SMOKE,
@@ -232,6 +302,13 @@ def test_alloc_front():
             "batched_s": round(batched_composite_s, 6),
             "speedup": round(composite_speedup, 2),
         },
+        "request_loop": {
+            "requests": REQUESTS,
+            "objects": 5 * REQUESTS,
+            "scalar_s": round(scalar_loop_s, 6),
+            "credit_s": round(credit_loop_s, 6),
+            "speedup": round(loop_speedup, 2),
+        },
     }
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(
@@ -249,6 +326,8 @@ def test_alloc_front():
         f"{'composite ' + str(SCALE) + 'x cycle':<24} "
         f"{scalar_composite_s:>10.4f} "
         f"{batched_composite_s:>10.4f} {composite_speedup:>8.2f}x",
+        f"{'request loop (credit)':<24} {scalar_loop_s:>10.4f} "
+        f"{credit_loop_s:>10.4f} {loop_speedup:>8.2f}x",
         "",
         f"batched allocation rate: {storm_rate:,.0f} objects/s "
         f"({composite_count:,} objects in the composite cycle)",
@@ -266,4 +345,7 @@ def test_alloc_front():
         )
         assert recorded_speedup > 1.0, (
             f"recorded storm slower than scalar: {recorded_speedup:.2f}x"
+        )
+        assert loop_speedup >= 1.25, (
+            f"request loop on the credit {loop_speedup:.2f}x < 1.25x"
         )

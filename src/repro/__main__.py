@@ -58,6 +58,21 @@ def _scaled_run(args):
     return SimConfig(seed=args.seed).scaled(scale), duration_ms
 
 
+def _profile_summary(profile) -> str:
+    """One line: sites, generations, conflicts, and any mistenured paths."""
+    line = (
+        f"{profile.instrumented_site_count} sites, "
+        f"{profile.generations_used} generations, "
+        f"{profile.conflicts_detected} conflicts"
+    )
+    if profile.mistenured_paths:
+        line += (
+            f", {profile.mistenured_paths} mistenured path(s) (allocate "
+            f"outside their profiled generation)"
+        )
+    return line
+
+
 def cmd_profile(args) -> int:
     config, duration_ms = _scaled_run(args)
     if args.keep_recording:
@@ -82,11 +97,7 @@ def cmd_profile(args) -> int:
             config=config,
         )
         profile = pipeline.run_profiling_phase(duration_ms=duration_ms)
-    print(
-        f"{profile.instrumented_site_count} sites, "
-        f"{profile.generations_used} generations, "
-        f"{profile.conflicts_detected} conflicts"
-    )
+    print(_profile_summary(profile))
     profile.save(args.output)
     print(f"saved -> {args.output}")
     return 0
@@ -113,11 +124,7 @@ def cmd_analyze(args) -> int:
     from repro.core.sttree import STTREE_SCHEMA_VERSION
 
     profile = analyze_recording(args.recording_dir)
-    print(
-        f"{profile.instrumented_site_count} sites, "
-        f"{profile.generations_used} generations, "
-        f"{profile.conflicts_detected} conflicts"
-    )
+    print(_profile_summary(profile))
     if profile.sttree is not None:
         print(
             f"profile IR: schema v{STTREE_SCHEMA_VERSION}, "

@@ -73,11 +73,16 @@ class AllocationProfile:
         conflicts_detected: int = 0,
         metadata: Optional[Dict[str, object]] = None,
         sttree: Optional[STTree] = None,
+        mistenured_paths: int = 0,
     ) -> None:
         self.workload = workload
         self.alloc_directives = list(alloc_directives)
         self.call_directives = list(call_directives)
         self.conflicts_detected = conflicts_detected
+        #: Allocation paths no directive placement could steer into their
+        #: estimated generation (see ``InstrumentationPlan.mistenured``):
+        #: they allocate into a generation other than the profiled one.
+        self.mistenured_paths = mistenured_paths
         self.metadata: Dict[str, object] = dict(metadata or {})
         #: The canonical profile IR this profile was flattened from, kept
         #: so the serialized file carries the full lifetime model and
@@ -125,6 +130,7 @@ class AllocationProfile:
             conflicts_detected=len(plan.conflicts),
             metadata=metadata,
             sttree=tree,
+            mistenured_paths=len(plan.mistenured),
         )
 
     # -- derived metrics (Table 1) ---------------------------------------------------
@@ -166,6 +172,7 @@ class AllocationProfile:
             "ir": ir,
             "workload": self.workload,
             "conflicts_detected": self.conflicts_detected,
+            "mistenured_paths": self.mistenured_paths,
             "alloc_directives": [
                 {
                     "class": d.class_name,
@@ -245,6 +252,7 @@ class AllocationProfile:
             conflicts_detected=int(payload.get("conflicts_detected", 0)),
             metadata=payload.get("metadata") or {},
             sttree=sttree,
+            mistenured_paths=int(payload.get("mistenured_paths", 0)),
         )
 
     def save(self, path: str) -> None:
@@ -269,5 +277,6 @@ class AllocationProfile:
         return (
             f"AllocationProfile({self.workload!r}, "
             f"sites={self.instrumented_site_count}, "
-            f"gens={self.generations_used}, conflicts={self.conflicts_detected})"
+            f"gens={self.generations_used}, conflicts={self.conflicts_detected}, "
+            f"mistenured={self.mistenured_paths})"
         )

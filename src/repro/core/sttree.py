@@ -113,12 +113,18 @@ class InstrumentationPlan:
         alloc_brackets: allocation-site location -> generation, for sites
             that need a per-allocation ``setGeneration`` bracket.
         conflicts: the conflict groups that were detected (Table 1 metric).
+        mistenured: allocation paths (innermost frame last) that no
+            placement of directives can steer into their estimated
+            generation; they allocate where the plan sends them.
     """
 
     annotate_sites: Set[CodeLocation] = dataclasses.field(default_factory=set)
     call_directives: Dict[CodeLocation, int] = dataclasses.field(default_factory=dict)
     alloc_brackets: Dict[CodeLocation, int] = dataclasses.field(default_factory=dict)
     conflicts: List[ConflictGroup] = dataclasses.field(default_factory=list)
+    mistenured: List[Tuple[CodeLocation, ...]] = dataclasses.field(
+        default_factory=list
+    )
 
     @property
     def instrumented_site_count(self) -> int:
@@ -563,6 +569,13 @@ class STTree:
         is unambiguous, otherwise a directive at the deepest free call
         site past the interfering one.  Every tentative fix is validated
         by global re-simulation so a repair never breaks other paths.
+
+        A path can be beyond repair: when the only call site telling it
+        apart from a path with another generation already carries a third
+        generation other paths depend on, every fix breaks as many paths
+        as it mends.  Such paths stay mis-tenured and are listed in
+        ``plan.mistenured``; every other path allocates exactly into its
+        estimated generation.
         """
         gens_by_leaf_location: Dict[CodeLocation, Set[int]] = {}
         for leaf in self._leaves:
@@ -582,13 +595,7 @@ class STTree:
                     progressed = True
             if not progressed:
                 break
-        remaining = self._violations(plan)
-        if remaining:
-            raise ConflictResolutionError(
-                f"cannot place directives satisfying every path; "
-                f"{len(remaining)} allocation paths remain mis-tenured "
-                f"(first: {remaining[0].path()})"
-            )
+        plan.mistenured = [tuple(leaf.path()) for leaf in self._violations(plan)]
 
     def _try_repair(
         self,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, NamedTuple, Optional, TYPE_CHECKING
 
 from repro.core.idset import IdSet
 from repro.errors import GCError
@@ -18,6 +18,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: POLM2's Recorder registers one to trigger a heap snapshot at the end of
 #: each cycle (paper §3.2, "by default ... at the end of every GC cycle").
 CycleListener = Callable[[GCPause], None]
+
+
+class AllocCredit(NamedTuple):
+    """Quiet allocation budgets (see :meth:`GenerationalCollector.alloc_credit`)."""
+
+    #: Bytes under the young-occupancy trigger: bounds every allocation's
+    #: size and is consumed by young allocations.
+    young: int
+    #: Bytes under the pretenured-allocation trigger, consumed by
+    #: allocations into non-young generations.
+    pretenured: int
+    #: Fresh regions allocations may claim before a free-reserve trigger.
+    spare_regions: int
+
+
+#: No quiet budget: every allocation runs ``before_allocation`` for real.
+NO_CREDIT = AllocCredit(0, 0, 0)
 
 
 class GenerationalCollector(abc.ABC):
@@ -108,25 +125,27 @@ class GenerationalCollector(abc.ABC):
     def after_allocation(self, size: int, gen_id: int) -> None:
         """Post-allocation hook (pretenured-byte accounting); optional."""
 
-    def batch_headroom(self, gen_id: int, max_size: int) -> Tuple[int, int]:
-        """``(quiet_bytes, spare_regions)`` for the batched allocation path.
+    def alloc_credit(self) -> AllocCredit:
+        """Budgets within which :meth:`before_allocation` is a no-op.
 
-        ``quiet_bytes`` is a byte budget B such that allocating any
-        sequence of objects (each at most ``max_size``) totalling at most
-        B into ``gen_id`` makes every :meth:`before_allocation` call a
-        guaranteed no-op; ``spare_regions`` bounds how many fresh regions
-        those allocations may claim without tripping a free-reserve
-        trigger.  The VM's batch front-end calls :meth:`before_allocation`
-        *for real* once per quiet run, skips it for the rest of the run,
-        and charges :meth:`after_allocation` once with the run's byte sum
-        — sound only while ``after_allocation`` is additive in ``size``
-        (all shipped collectors' are).
+        The VM's allocation front-ends skip ``before_allocation`` while an
+        :class:`AllocCredit` taken from the collector's *current* trigger
+        state covers every allocation: each allocation of ``size`` bytes
+        into generation ``gen`` needs ``size <= young``; young
+        allocations then consume ``young``, other generations need
+        ``size <= pretenured`` and consume that; at most
+        ``spare_regions`` fresh regions may be claimed.  An implementer
+        proves that, within those budgets, no trigger it checks can fire
+        — whatever order sites, sizes, and generations arrive in.  It
+        must also keep :meth:`after_allocation` additive in ``size``
+        (batch runs charge it once with the run's byte sum) and map
+        profile index 0 to the young generation.
 
-        The default ``(0, 0)`` keeps custom collectors on the exact
-        scalar sequence: every object gets its own ``before_allocation``/
-        ``after_allocation`` pair.
+        The default :data:`NO_CREDIT` keeps custom collectors on the
+        exact scalar sequence: every object gets its own
+        ``before_allocation``/``after_allocation`` pair.
         """
-        return (0, 0)
+        return NO_CREDIT
 
     @abc.abstractmethod
     def handle_oom(self) -> None:
@@ -182,7 +201,7 @@ class GenerationalCollector(abc.ABC):
         ]
         stale: List[int] = []
         for parent_id, parent in heap.old_to_young_remset.items():
-            kids = [c for c in parent.refs if c.gen_id == 0]
+            kids = [c for c in parent._refs if c.gen_id == 0]
             if not kids:
                 stale.append(parent_id)
                 continue
@@ -199,7 +218,7 @@ class GenerationalCollector(abc.ABC):
                 continue
             obj.mark_epoch = epoch
             live.append(obj)
-            stack.extend(obj.refs)
+            stack.extend(obj._refs)
         self.last_live_objects = live
         self.last_trace_was_partial = True
         self.last_mark_epoch = epoch

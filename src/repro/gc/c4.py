@@ -22,7 +22,7 @@ import random
 from typing import List
 
 from repro.config import YOUNG_GEN
-from repro.gc.base import GenerationalCollector
+from repro.gc.base import NO_CREDIT, AllocCredit, GenerationalCollector
 from repro.gc.events import CONCURRENT
 from repro.heap.evacuation import FixedDestination
 from repro.heap.region import Region
@@ -80,24 +80,25 @@ class C4Collector(GenerationalCollector):
         # into generation zero and is compacted concurrently in place.
         return YOUNG_GEN
 
-    def batch_headroom(self, gen_id, max_size):
-        """Quiet-run budget: occupancy stays under the cycle trigger.
+    def alloc_credit(self) -> AllocCredit:
+        """Quiet budget: heap occupancy stays under the cycle trigger.
 
-        ``int()`` floors the float trigger, so staying within the budget
-        implies ``used + size <= trigger`` for every allocation in the
-        run; eight spare regions below the free-count floor bound the
-        fresh-region claims.
+        Every allocation lands in generation zero, so the young budget is
+        the whole-heap occupancy budget.  ``int()`` floors the float
+        trigger, so staying within it implies ``used + size <= trigger``
+        for every allocation; eight spare regions below the free-count
+        floor bound the fresh-region claims.
         """
         vm = self._require_vm()
         heap = vm.heap
         spare = heap.free_region_count - 8
-        if spare < 0:
-            return (0, 0)
-        quiet = (
+        young = (
             int(self.CYCLE_TRIGGER_OCCUPANCY * vm.config.heap_bytes)
             - heap.used_bytes
         )
-        return (quiet if quiet > 0 else 0, spare)
+        if spare < 0 or young <= 0:
+            return NO_CREDIT
+        return AllocCredit(young, 0, spare)
 
     def handle_oom(self) -> None:
         self.concurrent_cycle()

@@ -18,7 +18,7 @@ from typing import List
 
 from repro.config import YOUNG_GEN
 from repro.gc import costmodel
-from repro.gc.base import GenerationalCollector
+from repro.gc.base import NO_CREDIT, AllocCredit, GenerationalCollector
 from repro.gc.events import FULL, MIXED, YOUNG
 from repro.heap.evacuation import FixedDestination, SurvivorTenuring
 from repro.heap.region import Region
@@ -104,29 +104,23 @@ class G1Collector(GenerationalCollector):
         # G1 has no pretenuring: every allocation goes to the young gen.
         return YOUNG_GEN
 
-    def batch_headroom(self, gen_id, max_size):
-        """Quiet-run budget for :meth:`before_allocation`'s two triggers.
+    def alloc_credit(self) -> AllocCredit:
+        """Quiet budgets for :meth:`before_allocation`'s two triggers.
 
-        Young allocations are quiet while cumulative bytes stay within the
-        young target; non-young allocations (the binary-rewriter subclass
-        pretenures) never move ``young.used_bytes``, so they are quiet as
-        long as the young trigger cannot fire for any size in the batch.
-        The spare-region bound keeps the free count at or above the
-        reserve, so the free-reserve trigger stays dormant too.
+        The young trigger reads ``young.used_bytes + size``: every
+        allocation's size must fit the remaining young budget, and only
+        young allocations consume it (the binary-rewriter subclass
+        pretenures into old, which no trigger counts, hence the unbounded
+        pretenured budget).  Keeping the free count at or above the
+        reserve keeps the free-reserve trigger dormant.
         """
         vm = self._require_vm()
         heap = vm.heap
         spare = heap.free_region_count - self._free_reserve()
-        if spare < 0:
-            return (0, 0)
-        young_used = heap.young.used_bytes
-        if gen_id == YOUNG_GEN:
-            quiet = self._young_target - young_used
-        elif young_used + max_size <= self._young_target:
-            quiet = vm.config.heap_bytes
-        else:
-            quiet = 0
-        return (quiet if quiet > 0 else 0, spare)
+        young = self._young_target - heap.young.used_bytes
+        if spare < 0 or young <= 0:
+            return NO_CREDIT
+        return AllocCredit(young, vm.config.heap_bytes, spare)
 
     def handle_oom(self) -> None:
         self.full_collect()

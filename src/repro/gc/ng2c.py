@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 from repro.config import YOUNG_GEN
 from repro.errors import UnknownGenerationError
 from repro.gc import costmodel
-from repro.gc.base import GenerationalCollector
+from repro.gc.base import NO_CREDIT, AllocCredit, GenerationalCollector
 from repro.gc.events import FULL, GEN, YOUNG
 from repro.heap.evacuation import FixedDestination, SurvivorTenuring
 from repro.heap.objects import HeapObject
@@ -102,7 +102,10 @@ class NG2CCollector(GenerationalCollector):
         return self.ensure_generation(index)
 
     def resolve_allocation_gen(self, pretenure_index: int) -> int:
-        return self.ensure_generation(pretenure_index)
+        gen_id = self._gen_map.get(pretenure_index)
+        if gen_id is None:
+            return self.ensure_generation(pretenure_index)
+        return gen_id
 
     @property
     def dynamic_generation_ids(self) -> List[int]:
@@ -141,34 +144,26 @@ class NG2CCollector(GenerationalCollector):
         if gen_id != YOUNG_GEN:
             self._pretenured_since_gc += size
 
-    def batch_headroom(self, gen_id, max_size):
-        """Quiet-run budget covering all three allocation triggers.
+    def alloc_credit(self) -> AllocCredit:
+        """Quiet budgets covering all three allocation triggers.
 
-        Young runs: quiet while cumulative bytes stay within the young
-        budget *and* the pretenured-byte trigger (checked whenever the
-        young trigger does not fire) is not already armed.  Pretenured
-        runs: the young trigger must be unfireable for every size in the
-        batch, and the pretenured counter — which grows with each
-        allocation — must stay strictly below the budget at every
-        intermediate check, hence the ``- 1``.
+        The young trigger bounds every allocation's size by the remaining
+        young budget.  The pretenured-byte trigger is the ``elif`` branch,
+        checked on *every* allocation the young trigger lets through —
+        young ones included — so no credit exists once it is armed, and
+        pretenured allocations may only grow the counter to one byte
+        below the budget (hence the ``- 1``).  The free-reserve trigger
+        stays dormant while claims stay within the spare regions.
         """
         vm = self._require_vm()
         heap = vm.heap
+        budget = vm.config.young_bytes
         spare = heap.free_region_count - self._free_reserve()
-        if spare < 0:
-            return (0, 0)
-        young_budget = vm.config.young_bytes
-        young_used = heap.young.used_bytes
-        if gen_id == YOUNG_GEN:
-            if self._pretenured_since_gc >= young_budget:
-                quiet = 0
-            else:
-                quiet = young_budget - young_used
-        elif young_used + max_size <= young_budget:
-            quiet = young_budget - self._pretenured_since_gc - 1
-        else:
-            quiet = 0
-        return (quiet if quiet > 0 else 0, spare)
+        young = budget - heap.young.used_bytes
+        pretenured = budget - self._pretenured_since_gc - 1
+        if spare < 0 or young <= 0 or pretenured < 0:
+            return NO_CREDIT
+        return AllocCredit(young, pretenured, spare)
 
     def handle_oom(self) -> None:
         self.full_collect()

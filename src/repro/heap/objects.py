@@ -27,6 +27,12 @@ HEADER_BYTES = 16
 
 _next_identity_hash = 1
 
+#: The outgoing-reference list of an object nothing was written into yet.
+#: Most simulated objects never get a reference, so they share this empty
+#: tuple instead of each owning an empty list (half the Python containers
+#: per allocation, which the interpreter's cyclic collector would scan).
+_NO_REFS: tuple = ()
+
 
 def next_identity_hash() -> int:
     """Return a fresh, never-reused identity hash code.
@@ -120,7 +126,7 @@ class HeapObject:
         self._age = 0
         self.birth_cycle = birth_cycle
         self.mark_epoch = 0
-        self._refs: List[HeapObject] = []
+        self._refs: List[HeapObject] = _NO_REFS  # type: ignore[assignment]
         self._region = None
         self._slot = -1
 
@@ -153,7 +159,7 @@ class HeapObject:
         view._age = age
         view.birth_cycle = 0
         view.mark_epoch = 0
-        view._refs = []
+        view._refs = _NO_REFS
         view._region = None
         view._slot = -1
         return view
@@ -177,15 +183,20 @@ class HeapObject:
         :meth:`~repro.heap.heap.SimHeap.remove_ref` so that the pages
         holding the object are marked dirty, as a real store barrier would.
         """
-        return self._refs
+        return self._refs or []
 
     def iter_refs(self) -> Iterator["HeapObject"]:
         return iter(self._refs)
 
     def _append_ref(self, target: "HeapObject") -> None:
-        self._refs.append(target)
+        if self._refs:
+            self._refs.append(target)
+        else:
+            self._refs = [target]
 
     def _remove_ref(self, target: "HeapObject") -> None:
+        if not self._refs:
+            self._refs = []
         self._refs.remove(target)
 
     def _replace_refs(self, targets: Iterable["HeapObject"]) -> None:

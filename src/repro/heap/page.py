@@ -176,6 +176,22 @@ class PageTable:
         for page in range(first, last + 1):
             occupancy[page] += 1
 
+    def place_object(self, address: int, length: int) -> None:
+        """A freshly written object: :meth:`mark_written_range` and
+        :meth:`track_object` fused into one pass (allocation and
+        per-object evacuation)."""
+        if length <= 0:
+            return
+        flags = self._flags
+        occupancy = self._occupancy
+        page_size = self.page_size
+        page = address // page_size
+        last = (address + length - 1) // page_size
+        while page <= last:
+            flags[page] = (flags[page] | _DIRTY) & ~_NO_NEED
+            occupancy[page] += 1
+            page += 1
+
     def untrack_object(self, address: int, length: int) -> None:
         """Remove an object's count (death, evacuation, region reclaim)."""
         if length <= 0:

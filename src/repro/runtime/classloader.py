@@ -11,7 +11,7 @@ transformed models.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Protocol
+from typing import Callable, Dict, Iterable, List, Optional, Protocol, Tuple
 
 from repro.errors import ClassNotLoadedError, DuplicateClassError
 from repro.runtime.code import ClassModel, MethodModel
@@ -31,6 +31,10 @@ class ClassLoader:
     def __init__(self) -> None:
         self._transformers: List[ClassTransformer] = []
         self._loaded: Dict[str, ClassModel] = {}
+        #: ``(class, method) -> MethodModel`` of every loaded class, filled
+        #: at load time: classes never reload, so a call resolves its
+        #: callee with one dict probe (threads probe it directly).
+        self._methods: Dict[Tuple[str, str], MethodModel] = {}
         #: Number of classes that were modified by at least one transformer
         #: (load-time instrumentation work, cf. the paper's note that the
         #: Instrumenter's overhead exists only while classes load).
@@ -71,6 +75,8 @@ class ClassLoader:
         if self._transformers and transformed:
             self.transformed_class_count += 1
         self._loaded[loaded.name] = loaded
+        for name, method in loaded.methods.items():
+            self._methods[(loaded.name, name)] = method
         if self.on_loaded is not None:
             self.on_loaded(loaded)
         return loaded
@@ -90,9 +96,9 @@ class ClassLoader:
         return self._loaded.get(class_name)
 
     def method(self, class_name: str, method_name: str) -> MethodModel:
-        klass = self.lookup(class_name)
-        method = klass.get_method(method_name)
+        method = self._methods.get((class_name, method_name))
         if method is None:
+            self.lookup(class_name)  # raises for a class never loaded
             raise ClassNotLoadedError(
                 f"class {class_name!r} has no method {method_name!r}"
             )

@@ -11,52 +11,14 @@ whether the call flips the thread-local *target generation* (NG2C's
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import NoActiveFrameError
 from repro.heap.objects import HeapObject
-from repro.runtime.stack import Frame, capture_stack_trace
+from repro.runtime.stack import Frame, capture_stack_trace, stack_tokens
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.vm import VM
-
-#: Globally unique stack-shape tokens.  Every frame push or pop on any
-#: thread draws a fresh token, so two observations of the same token value
-#: guarantee the observing thread's frame stack (identities *and* the
-#: callers' current lines, which can only change while a frame is on top)
-#: is unchanged.  Allocation sites key their interned-trace cache on this
-#: (see :class:`repro.runtime.code.AllocSite`).
-_stack_token_counter = itertools.count(1)
-
-
-class _FrameContext:
-    """Lightweight context manager for one method activation.
-
-    Hand-rolled instead of ``contextlib.contextmanager`` because frame
-    entry/exit is the hottest path in the simulation.
-    """
-
-    __slots__ = ("thread", "frame", "saved_gen")
-
-    def __init__(self, thread: "SimThread", frame: Frame, saved_gen: Optional[int]):
-        self.thread = thread
-        self.frame = frame
-        self.saved_gen = saved_gen
-
-    def __enter__(self) -> Frame:
-        thread = self.thread
-        thread.frames.append(self.frame)
-        thread.stack_token = next(_stack_token_counter)
-        return self.frame
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        thread = self.thread
-        thread.frames.pop()
-        thread.stack_token = next(_stack_token_counter)
-        if self.saved_gen is not None:
-            thread.target_gen = self.saved_gen
-
 
 class SimThread:
     """An application thread: a stack of frames plus NG2C's target generation."""
@@ -68,8 +30,10 @@ class SimThread:
         #: NG2C thread-local target generation, as a *profile index*
         #: (0 = young).  ``@Gen`` allocation sites pretenure into this.
         self.target_gen = 0
+        #: The class loader's method table, probed once per call.
+        self._methods = vm.classloader._methods
         #: Current stack-shape token; refreshed on every push/pop.
-        self.stack_token = next(_stack_token_counter)
+        self.stack_token = next(stack_tokens)
 
     # -- frame management -------------------------------------------------------
 
@@ -79,12 +43,12 @@ class SimThread:
             raise NoActiveFrameError(f"thread {self.name!r} has no active frame")
         return self.frames[-1]
 
-    def entry(self, class_name: str, method_name: str) -> _FrameContext:
+    def entry(self, class_name: str, method_name: str) -> Frame:
         """Enter a top-level method (thread entry point, no caller)."""
         method = self.vm.classloader.method(class_name, method_name)
-        return _FrameContext(self, Frame(method), saved_gen=None)
+        return Frame(method, self)
 
-    def call(self, line: int, class_name: str, method_name: str) -> _FrameContext:
+    def call(self, line: int, class_name: str, method_name: str) -> Frame:
         """Call ``class_name.method_name`` from ``line`` of the current frame.
 
         If the Instrumenter bracketed this call site with ``setGeneration``,
@@ -99,8 +63,10 @@ class SimThread:
             saved_gen = self.target_gen
             self.target_gen = call_site.target_generation
             self.vm.set_generation_calls += 2  # set + restore
-        method = self.vm.classloader.method(class_name, method_name)
-        return _FrameContext(self, Frame(method), saved_gen)
+        method = self._methods.get((class_name, method_name))
+        if method is None:
+            method = self.vm.classloader.method(class_name, method_name)  # raises
+        return Frame(method, self, saved_gen)
 
     # -- allocation ----------------------------------------------------------------
 
@@ -128,23 +94,20 @@ class SimThread:
                 f"{frame.method.class_name}.{frame.method.name} has no "
                 f"allocation site at line {line}"
             )
+        vm = self.vm
         if site.gen_annotated:
             if site.pre_set_gen is not None:
                 pretenure_index = site.pre_set_gen
-                self.vm.set_generation_calls += 2  # set + restore bracket
+                vm.set_generation_calls += 2  # set + restore bracket
             else:
                 pretenure_index = self.target_gen
         else:
             pretenure_index = 0
-        obj = self.vm.allocate_at_site(
-            thread=self,
-            site=site,
-            size=size if size is not None else site.size_hint,
-            pretenure_index=pretenure_index,
-            refs=refs,
-        )
+        if size is None:
+            size = site.size_hint
+        obj = vm.allocate_at_site(self, site, size, pretenure_index, refs)
         if keep:
-            frame.keep(obj)
+            frame.locals.append(obj)
         return obj
 
     def alloc_batch(

@@ -6,9 +6,9 @@ import warnings
 from array import array
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Callable, Iterator, List, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.config import SimConfig
+from repro.config import YOUNG_GEN, SimConfig
 from repro.errors import OutOfMemoryError, ReproError
 from repro.heap.heap import SimHeap
 from repro.heap.objects import HeapObject
@@ -84,6 +84,13 @@ class VM:
         #: push-up optimization minimizes; exercised by ablation benches).
         self.set_generation_calls = 0
         self.collector: Optional["GenerationalCollector"] = None
+        #: The allocation credit (see ``_refresh_credit``): young and
+        #: pretenured byte budgets, the heap's region-claim count it
+        #: allows, and the collector cycle it was taken in (-1: no credit).
+        self._credit_young = 0
+        self._credit_pretenured = 0
+        self._credit_claims = 0
+        self._credit_cycles = -1
         if collector is not None:
             self.set_collector(collector)
 
@@ -91,6 +98,7 @@ class VM:
 
     def set_collector(self, collector: "GenerationalCollector") -> None:
         self.collector = collector
+        self._credit_cycles = -1
         collector.attach(self)
 
     def new_thread(self, name: str) -> SimThread:
@@ -194,6 +202,49 @@ class VM:
             yield from thread.iter_roots()
 
     # -- allocation -----------------------------------------------------------------
+    #
+    # Every allocation either runs the collector's ``before_allocation``
+    # for real or spends the VM's *allocation credit*: budgets taken from
+    # the collector (``alloc_credit``) within which every skipped
+    # ``before_allocation`` is a proven no-op.  The credit is refreshed
+    # after every real ``before_allocation``, spent by covered scalar
+    # allocations and by batch runs, and void once the collector's cycle
+    # count moves.  Covered or not, objects are placed by the same heap
+    # path.
+
+    def _refresh_credit(self) -> None:
+        """Take a fresh credit from the collector's current trigger state."""
+        collector = self.collector
+        young, pretenured, spare = collector.alloc_credit()
+        self._credit_young = young
+        self._credit_pretenured = pretenured
+        self._credit_claims = self.heap.regions_claimed + spare
+        self._credit_cycles = collector.cycles if young > 0 else -1
+
+    def _site_id(self, site: AllocSite) -> int:
+        site_id = site.cached_site_id
+        if site_id == 0:
+            site_id = self.sites.site_id(site.location)
+            site.cached_site_id = site_id
+        return site_id
+
+    def _site_trace(self, thread: SimThread, site: AllocSite) -> Tuple[tuple, int]:
+        """The interned ``(trace, trace_id)`` of an allocation at ``site``.
+
+        Interned-trace fast path: the stack token pins the whole frame
+        stack (shape and caller lines), and the innermost line is this
+        site's own, so a token hit reuses the captured trace and its
+        interned id without touching a single frame.
+        """
+        token = thread.stack_token
+        if site.cached_trace_token == token:
+            return site.cached_trace, site.cached_trace_id
+        trace = thread.current_stack_trace()
+        trace_id = self.sites.trace_id(trace)
+        site.cached_trace = trace
+        site.cached_trace_id = trace_id
+        site.cached_trace_token = token
+        return trace, trace_id
 
     def allocate_at_site(
         self,
@@ -203,43 +254,49 @@ class VM:
         pretenure_index: int = 0,
         refs: Sequence[HeapObject] = (),
     ) -> HeapObject:
-        """Allocate through a declared allocation site (the normal path)."""
-        if self.collector is None:
+        """Allocate through a declared allocation site (the normal path).
+
+        When the allocation credit covers the allocation, the collector's
+        ``before_allocation`` is skipped (a proven no-op); otherwise it
+        runs for real and the credit is refreshed afterwards.  Covered
+        means: no collection since the credit was taken, ``size`` within
+        the young budget and within one region (humongous objects always
+        run the real check), no more region claims so far than the
+        credit's spare regions, and a non-young allocation within the
+        pretenured budget.
+        """
+        collector = self.collector
+        if collector is None:
             raise OutOfMemoryError("no collector attached to the VM")
-        self.collector.before_allocation(size)
-        gen_id = self.collector.resolve_allocation_gen(pretenure_index)
-        site_id = site.cached_site_id
-        if site_id == 0:
-            site_id = self.sites.site_id(site.location)
-            site.cached_site_id = site_id
+        heap = self.heap
+        covered = False
+        if (
+            size <= self._credit_young
+            and collector.cycles == self._credit_cycles
+            and size <= heap.region_size
+            and heap.regions_claimed <= self._credit_claims
+        ):
+            if pretenure_index:
+                gen_id = collector.resolve_allocation_gen(pretenure_index)
+            else:
+                gen_id = YOUNG_GEN
+            if gen_id == YOUNG_GEN:
+                self._credit_young -= size
+                covered = True
+            elif size <= self._credit_pretenured:
+                self._credit_pretenured -= size
+                covered = True
+        if not covered:
+            collector.before_allocation(size)
+            gen_id = collector.resolve_allocation_gen(pretenure_index)
+        site_id = site.cached_site_id or self._site_id(site)
         trace: tuple = ()
         trace_id = 0
         if site.record_hook and self._alloc_listeners:
-            # Interned-trace fast path: the stack token pins the whole
-            # frame stack (shape and caller lines), and the innermost line
-            # is this site's own, so a token hit reuses the captured trace
-            # and its interned id without touching a single frame.
-            token = thread.stack_token
-            if site.cached_trace_token == token:
-                trace = site.cached_trace
-                trace_id = site.cached_trace_id
-            else:
-                trace = thread.current_stack_trace()
-                trace_id = self.sites.trace_id(trace)
-                site.cached_trace = trace
-                site.cached_trace_id = trace_id
-                site.cached_trace_token = token
-        try:
-            obj = self._heap_alloc(size, gen_id, site_id, trace_id, refs)
-        except OutOfMemoryError:
-            self.collector.handle_oom()
-            obj = self._heap_alloc(size, gen_id, site_id, trace_id, refs)
-        if gen_id != 0:
-            # Pretenured allocation takes the non-TLAB slow path.
-            self.clock.advance_us(
-                self.config.costs.pretenure_alloc_kib_us * (size / 1024.0)
-            )
-        self.collector.after_allocation(size, gen_id)
+            trace, trace_id = self._site_trace(thread, site)
+        obj = self._place(size, gen_id, site_id, trace_id, refs)
+        if not covered:
+            self._refresh_credit()
         if site.record_hook:
             for listener in self._alloc_listeners:
                 listener(obj, site, trace)
@@ -266,16 +323,17 @@ class VM:
                 if link_from is not None:
                     vm.heap.write_ref(link_from, obj)
 
-        but amortized: site id, interned trace, and generation resolve
-        once per quiet run, collector hooks are charged per run (each run
-        opens with one *real* ``before_allocation``; the skipped calls are
-        proven no-ops by :meth:`~repro.gc.base.GenerationalCollector
-        .batch_headroom`), the heap extends region columns in bulk without
-        boxing a ``HeapObject`` per allocation, and one
-        :class:`AllocationBatchEvent` per run replaces per-object listener
-        dispatch.  Per-allocation *clock* charges still loop per object —
-        the virtual clock is a float accumulator, and one ``n×cost`` add
-        is not byte-identical to ``n`` adds of ``cost``.
+        but amortized: site id and interned trace resolve once, and the
+        batch is cut into *quiet runs* that spend the allocation credit —
+        no ``before_allocation`` runs inside a run, ``after_allocation``
+        is charged once with the run's byte sum, the heap extends region
+        columns in bulk without boxing a ``HeapObject`` per allocation,
+        and one :class:`AllocationBatchEvent` per run replaces per-object
+        listener dispatch.  An object the credit does not cover is
+        allocated for real, which refreshes the credit.  Per-allocation
+        *clock* charges still loop per object — the virtual clock is a
+        float accumulator, and one ``n×cost`` add is not byte-identical
+        to ``n`` adds of ``cost``.
 
         Falls back to the scalar path whenever batching could be observed:
         scalar-only ALLOCATION subscribers on a record-hooked site,
@@ -314,26 +372,14 @@ class VM:
                     write_ref(link_from, obj)
                 out.append(obj)
             return out if materialize else None
-        site_id = site.cached_site_id
-        if site_id == 0:
-            site_id = self.sites.site_id(site.location)
-            site.cached_site_id = site_id
+        site_id = self._site_id(site)
         trace: tuple = ()
         trace_id = 0
         batch_listeners = self._batch_alloc_listeners
         if record_hook and batch_listeners:
             # The stack cannot change mid-batch (no frame push/pop), so
             # the interned trace resolves once for the whole batch.
-            token = thread.stack_token
-            if site.cached_trace_token == token:
-                trace = site.cached_trace
-                trace_id = site.cached_trace_id
-            else:
-                trace = thread.current_stack_trace()
-                trace_id = self.sites.trace_id(trace)
-                site.cached_trace = trace
-                site.cached_trace_id = trace_id
-                site.cached_trace_token = token
+            trace, trace_id = self._site_trace(thread, site)
         ends = array("q", accumulate(sizes_arr))
         starts = array("q", (0,))
         starts.extend(ends[: n - 1])
@@ -345,23 +391,33 @@ class VM:
         region_size = heap.region_size
         p = 0
         while p < n:
-            collector.before_allocation(sizes_arr[p])
-            gen_id = collector.resolve_allocation_gen(pretenure_index)
-            quiet, spare = collector.batch_headroom(gen_id, max_size)
-            if spare < 0:
-                spare = 0
-            room = heap.generation(gen_id).bump_room()
-            # Capacity usable with at most ``spare`` fresh-region claims:
-            # each region abandoned mid-run wastes at most max_size - 1
-            # bytes (the tail too small for the object that triggered the
-            # claim), hence the max_size haircuts.
-            cap = (room - max_size if room > max_size else 0) + spare * (
-                region_size - max_size
-            )
-            budget = quiet if quiet < cap else cap
             q = p
-            if budget >= sizes_arr[p]:
-                q = bisect_right(ends, starts[p] + budget, p, n)
+            if (
+                collector.cycles == self._credit_cycles
+                and sizes_arr[p] <= self._credit_young
+            ):
+                gen_id = collector.resolve_allocation_gen(pretenure_index)
+                if gen_id == YOUNG_GEN:
+                    budget = self._credit_young
+                elif max_size <= self._credit_young:
+                    budget = self._credit_pretenured
+                else:
+                    budget = 0
+                spare = self._credit_claims - heap.regions_claimed
+                room = heap.generation(gen_id).bump_room()
+                # Capacity usable with at most ``spare`` fresh-region
+                # claims: each region abandoned mid-run wastes at most
+                # max_size - 1 bytes (the tail too small for the object
+                # that triggered the claim), hence the max_size haircuts.
+                # Claims past the credit leave ``spare`` negative and the
+                # capacity below one object.
+                cap = (room - max_size if room > max_size else 0) + spare * (
+                    region_size - max_size
+                )
+                if cap < budget:
+                    budget = cap
+                if budget >= sizes_arr[p]:
+                    q = bisect_right(ends, starts[p] + budget, p, n)
             if q > p:
                 first_id, run_views = heap.allocate_batch(
                     sizes_arr,
@@ -374,61 +430,44 @@ class VM:
                     birth_cycle=collector.cycles,
                     materialize=views is not None,
                 )
-                if gen_id != 0:
+                run_bytes = ends[q - 1] - starts[p]
+                if gen_id == YOUNG_GEN:
+                    self._credit_young -= run_bytes
+                else:
+                    self._credit_pretenured -= run_bytes
                     kib_cost = costs.pretenure_alloc_kib_us
                     for i in range(p, q):
                         clock.advance_us(kib_cost * (sizes_arr[i] / 1024.0))
-                collector.after_allocation(ends[q - 1] - starts[p], gen_id)
-                if record_hook and batch_listeners:
-                    event = AllocationBatchEvent(
-                        site=site,
-                        trace=trace,
-                        trace_id=trace_id,
-                        first_object_id=first_id,
-                        count=q - p,
-                        sizes=sizes_arr[p:q],
-                        gen_id=gen_id,
-                    )
-                    for listener in batch_listeners:
-                        listener(event)
-                if views is not None:
-                    views.extend(run_views)
-                    if link_from is not None:
-                        write_ref = heap.write_ref
-                        for obj in run_views:
-                            write_ref(link_from, obj)
-                p = q
+                collector.after_allocation(run_bytes, gen_id)
+                count = q - p
             else:
-                # No quiet headroom: one object the scalar way, reusing
-                # the real before_allocation that just ran.
-                size = sizes_arr[p]
-                try:
-                    obj = self._heap_alloc(size, gen_id, site_id, trace_id, ())
-                except OutOfMemoryError:
-                    collector.handle_oom()
-                    obj = self._heap_alloc(size, gen_id, site_id, trace_id, ())
-                if gen_id != 0:
-                    clock.advance_us(
-                        costs.pretenure_alloc_kib_us * (size / 1024.0)
-                    )
-                collector.after_allocation(size, gen_id)
-                if record_hook and batch_listeners:
-                    event = AllocationBatchEvent(
-                        site=site,
-                        trace=trace,
-                        trace_id=trace_id,
-                        first_object_id=obj.object_id,
-                        count=1,
-                        sizes=sizes_arr[p : p + 1],
-                        gen_id=gen_id,
-                    )
-                    for listener in batch_listeners:
-                        listener(event)
-                if views is not None:
-                    views.append(obj)
-                    if link_from is not None:
-                        heap.write_ref(link_from, obj)
-                p += 1
+                # Not covered: one object for real (refreshes the credit).
+                collector.before_allocation(sizes_arr[p])
+                gen_id = collector.resolve_allocation_gen(pretenure_index)
+                obj = self._place(sizes_arr[p], gen_id, site_id, trace_id, ())
+                self._refresh_credit()
+                first_id = obj.object_id
+                run_views = [obj]
+                count = 1
+            if record_hook and batch_listeners:
+                event = AllocationBatchEvent(
+                    site=site,
+                    trace=trace,
+                    trace_id=trace_id,
+                    first_object_id=first_id,
+                    count=count,
+                    sizes=sizes_arr[p : p + count],
+                    gen_id=gen_id,
+                )
+                for listener in batch_listeners:
+                    listener(event)
+            if views is not None:
+                views.extend(run_views)
+                if link_from is not None:
+                    write_ref = heap.write_ref
+                    for obj in run_views:
+                        write_ref(link_from, obj)
+            p += count
         return views if materialize else None
 
     def allocate_anonymous(
@@ -442,24 +481,16 @@ class VM:
         historically skipped, which let anonymous allocations dodge
         NG2C's pretenured-byte budget).
         """
-        if self.collector is None:
+        collector = self.collector
+        if collector is None:
             raise OutOfMemoryError("no collector attached to the VM")
-        self.collector.before_allocation(size)
-        gen_id = self.collector.resolve_allocation_gen(0)
-        try:
-            obj = self._heap_alloc(size, gen_id, 0, 0, refs)
-        except OutOfMemoryError:
-            self.collector.handle_oom()
-            obj = self._heap_alloc(size, gen_id, 0, 0, refs)
-        if gen_id != 0:
-            # Pretenured allocation takes the non-TLAB slow path.
-            self.clock.advance_us(
-                self.config.costs.pretenure_alloc_kib_us * (size / 1024.0)
-            )
-        self.collector.after_allocation(size, gen_id)
+        collector.before_allocation(size)
+        gen_id = collector.resolve_allocation_gen(0)
+        obj = self._place(size, gen_id, 0, 0, refs)
+        self._refresh_credit()
         return obj
 
-    def _heap_alloc(
+    def _place(
         self,
         size: int,
         gen_id: int,
@@ -467,14 +498,31 @@ class VM:
         trace_id: int,
         refs: Sequence[HeapObject],
     ) -> HeapObject:
-        return self.heap.allocate(
-            size=size,
-            gen_id=gen_id,
-            site_id=site_id,
-            trace_id=trace_id,
-            birth_cycle=self.collector.cycles if self.collector else 0,
-            refs=refs,
-        )
+        """The heap side of an allocation whose ``before_allocation`` ran
+        or was covered by the credit.
+
+        Places the object (one full collection and a retry on heap
+        exhaustion), then charges the pretenure cost and
+        ``after_allocation``.
+        """
+        collector = self.collector
+        heap = self.heap
+        try:
+            obj = heap.allocate(
+                size, gen_id, 0, site_id, trace_id, collector.cycles, refs
+            )
+        except OutOfMemoryError:
+            collector.handle_oom()
+            obj = heap.allocate(
+                size, gen_id, 0, site_id, trace_id, collector.cycles, refs
+            )
+        if gen_id != YOUNG_GEN:
+            # Pretenured allocation takes the non-TLAB slow path.
+            self.clock.advance_us(
+                self.config.costs.pretenure_alloc_kib_us * (size / 1024.0)
+            )
+        collector.after_allocation(size, gen_id)
+        return obj
 
     # -- mutator time ------------------------------------------------------------------
 

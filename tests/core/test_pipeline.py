@@ -132,3 +132,20 @@ class TestProductionPhase:
         assert result.duration_ms >= 3_000.0
         assert result.peak_memory_bytes > 0
         assert isinstance(result.pause_report(), str)
+
+
+class TestIrreparablePathsEndToEnd:
+    def test_lucene_profiles_at_three_virtual_seconds(self):
+        """Profiling lucene for exactly 3000 virtual ms used to raise
+        ConflictResolutionError: one 4-object merge path cannot be steered
+        young without mis-tenuring its flush twin.  The plan now reports it
+        and profiling completes."""
+        from repro.workloads import make_workload
+
+        pipeline = POLM2Pipeline(lambda: make_workload("lucene", seed=42))
+        profile = pipeline.run_profiling_phase(duration_ms=3_000.0)
+        plan = profile.sttree.instrumentation_plan()
+        assert len(plan.mistenured) == 1
+        assert plan.mistenured[0][-1][1] == "allocate"
+        assert profile.mistenured_paths == 1
+        assert profile.instrumented_site_count > 0

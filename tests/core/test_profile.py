@@ -19,6 +19,7 @@ def sample_profile() -> AllocationProfile:
         ],
         conflicts_detected=1,
         metadata={"note": "test"},
+        mistenured_paths=2,
     )
 
 
@@ -41,6 +42,7 @@ class TestSerialization:
         assert restored.alloc_directives == profile.alloc_directives
         assert restored.call_directives == profile.call_directives
         assert restored.conflicts_detected == 1
+        assert restored.mistenured_paths == 2
         assert restored.metadata["note"] == "test"
 
     def test_save_and_load(self, tmp_path):

@@ -201,3 +201,50 @@ class TestPlanMetrics:
         tree = build_listing1_tree()
         plan = tree.instrumentation_plan()
         assert plan.generations_used >= {1, 2, 3}
+
+
+class TestIrreparablePaths:
+    """Directive interference no placement can undo (the lucene shape).
+
+    ``flush`` runs both straight from ``update:25`` (generation 3) and
+    under ``merge:40`` (generation 2), and one merge path through
+    ``flush:34`` into the shared ``pool:60`` site wants young.  ``merge:40``
+    is the only call site telling the two ``flush`` contexts apart and
+    must carry generation 2, and ``flush:34``/``pool:60`` are shared, so
+    no directive can send that path young without mis-tenuring its
+    generation-3 twin.
+    """
+
+    W = "W"
+    ENTRY = (W, "add", 15)
+    UPDATE = (W, "update", 25)
+    MERGE = (W, "merge", 40)
+    POOL = (W, "pool", 60)
+    STUCK = (ENTRY, UPDATE, MERGE, (W, "flush", 34), POOL)
+
+    def build(self) -> STTree:
+        w, entry, update, merge, pool = (
+            self.W, self.ENTRY, self.UPDATE, self.MERGE, self.POOL
+        )
+        tree = STTree()
+        tree.insert((entry, (w, "update", 23), pool), 1, 500)
+        tree.insert((entry, update, (w, "flush", 30)), 3, 400)
+        tree.insert((entry, update, (w, "flush", 34), pool), 3, 32)
+        tree.insert((entry, update, merge, (w, "flush", 30)), 2, 300)
+        tree.insert(self.STUCK, 0, 4)
+        return tree
+
+    def test_plan_reports_instead_of_raising(self):
+        plan = self.build().instrumentation_plan()
+        assert plan.mistenured == [self.STUCK]
+
+    def test_every_other_path_is_exact(self):
+        tree = self.build()
+        plan = tree.instrumentation_plan()
+        for leaf in tree.leaves:
+            path = tuple(leaf.path())
+            if path != self.STUCK:
+                assert tree._simulate(list(path), plan) == leaf.target_gen
+
+    def test_satisfiable_trees_report_nothing(self):
+        assert build_listing1_tree().instrumentation_plan().mistenured == []

@@ -69,6 +69,9 @@ class TestPlanSemantics:
             # Unresolvable conflicts (paths identical up to the entry
             # point) are a legitimate, explicit failure mode.
             assume(False)
+        # So are paths no directive placement can steer (reported, not
+        # raised); every other plan must be exact.
+        assume(not plan.mistenured)
         for trace, expected in estimates.items():
             got = simulate_allocation_gen(
                 trace,
@@ -88,6 +91,7 @@ class TestPlanSemantics:
             plan = tree.instrumentation_plan(push_up=False)
         except ConflictResolutionError:
             assume(False)
+        assume(not plan.mistenured)
         for trace, expected in estimates.items():
             got = simulate_allocation_gen(
                 trace,
@@ -116,6 +120,7 @@ class TestPlanSemantics:
             naive = tree.instrumentation_plan(push_up=False)
         except ConflictResolutionError:
             assume(False)
+        assume(not hoisted.mistenured and not naive.mistenured)
         assert hoisted.annotate_sites == naive.annotate_sites
         assert len(hoisted.conflicts) == len(naive.conflicts)
 

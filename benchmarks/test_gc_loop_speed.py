@@ -47,6 +47,7 @@ from repro.heap.heap import SimHeap
 from repro.runtime.code import ClassModel, SiteRegistry
 from repro.runtime.stack import Frame
 from repro.runtime.thread import SimThread
+from repro.runtime.vm import VM
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -163,7 +164,7 @@ def build_alloc_stack() -> Tuple[SimThread, list]:
     sites = [
         methods[-1].add_alloc_site(100 + s, "Obj", 64) for s in range(ALLOC_SITES)
     ]
-    thread = SimThread(vm=None, name="bench")
+    thread = SimThread(VM(SimConfig.small()), name="bench")
     for depth, method in enumerate(methods):
         frame = Frame(method)
         frame.current_line = depth + 1  # the call line into the next frame

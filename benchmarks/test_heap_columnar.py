@@ -13,9 +13,10 @@ microbenchmarks plus one composite scaling run:
   increment and threshold compare.  Columnar: one 64-bit lane add and one
   biased lane compare over the packed age column.
 * **evacuation** — copying survivors out of a region set.  Legacy: the
-  retained per-object loop (untrack, membership test, bump re-allocate,
-  retrack, one object at a time).  Columnar: run detection + column-slice
-  copies + bulk page accounting (``place_slice``/``absorb_slice``).
+  per-object loop frozen in ``tests/heap/evacuation_oracle`` (untrack,
+  membership test, bump re-allocate, retrack, one object at a time).
+  Columnar: run detection + column-slice copies + bulk page accounting
+  (``place_slice``/``absorb_slice``).
 * **composite 10x** — mark + age + evacuate at 10x the object count on
   the columnar engine, gated against 2x the *legacy* engine's wall-clock
   at 1x (the ISSUE 6 criterion: ≥5x kernels make 10x objects affordable).
@@ -38,6 +39,7 @@ from repro.heap.evacuation import FixedDestination, SurvivorTenuring
 from repro.heap.heap import SimHeap
 from repro.heap.objects import HeapObject, _reset_identity_hashes
 from repro.heap.region import Region
+from tests.heap.evacuation_oracle import oracle_evacuate
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -147,8 +149,8 @@ def placement_state(heap: SimHeap):
 
 def run_legacy_evacuation(heap: SimHeap, live_ids: set) -> None:
     dest = heap.new_generation("dest")
-    heap.evacuate(
-        list(heap.young.regions), live_ids, heap.young, lambda obj: dest
+    oracle_evacuate(
+        heap, list(heap.young.regions), live_ids, heap.young, lambda obj: dest
     )
 
 
@@ -169,7 +171,7 @@ def legacy_gc_cycle(heap: SimHeap, live_ids: set, threshold: int) -> None:
         obj.age += 1
         return old if obj.age >= threshold else young
 
-    heap.evacuate(list(young.regions), live_ids, young, destination)
+    oracle_evacuate(heap, list(young.regions), live_ids, young, destination)
 
 
 def columnar_gc_cycle(heap: SimHeap, live: IdSet, threshold: int) -> None:

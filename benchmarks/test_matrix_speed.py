@@ -1,5 +1,6 @@
 """BENCH: experiment-matrix wall time — serial vs parallel vs cached —
-plus the Analyzer's single-pass vs intersection survival counting.
+plus the Analyzer's single-pass vs intersection survival counting and
+the sharded sweep scheduler vs a global-barrier ("wave") baseline.
 
 Starts the repo's performance trajectory: emits
 ``benchmarks/results/BENCH_matrix.json`` with wall-clock numbers for
@@ -8,8 +9,9 @@ Starts the repo's performance trajectory: emits
 * the ``ProcessPoolExecutor`` parallel pass (``jobs=2``),
 * the fully disk-cached pass (second run over ``.repro_cache``-style
   storage), and
-* ``Analyzer.survival_counts`` via the delta single-pass vs the legacy
-  per-snapshot intersection scan.
+* survival counting by the streaming ``IncrementalAnalyzer`` over the
+  delta chain vs the per-snapshot intersection scan of the frozen batch
+  oracle (``tests/core/batch_analyzer_oracle``).
 
 Durations honour ``REPRO_PROFILE_MS`` / ``REPRO_PRODUCTION_MS`` so CI
 can run a short smoke pass.  The acceptance gate: parallel *or* cached
@@ -17,6 +19,7 @@ must be ≥2× faster than serial (on single-core CI boxes only the cached
 path can clear it; both numbers are recorded either way).
 """
 
+import concurrent.futures
 import json
 import os
 import time
@@ -24,12 +27,14 @@ import time
 from conftest import RESULTS_DIR, save_result
 
 from repro.config import SimConfig
-from repro.core.analyzer import Analyzer
 from repro.core.dumper import Dumper
 from repro.core.recorder import Recorder
+from repro.core.stages import IncrementalAnalyzer
 from repro.experiments.matrix import (
     DirCacheBackend,
     SweepSpec,
+    _run_production_cell,
+    _run_profiling_cell,
     run_sweep,
     sweep_cache_key,
 )
@@ -37,7 +42,9 @@ from repro.experiments.runner import ExperimentRunner, ExperimentSettings
 from repro.gc.ng2c import NG2CCollector
 from repro.runtime.vm import VM
 from repro.snapshot.snapshot import Snapshot
+from repro.strategies import get_strategy
 from repro.workloads import make_workload
+from tests.core.batch_analyzer_oracle import batch_survival_counts
 
 BENCH_WORKLOADS = ("cassandra-wi", "graphchi-pr")
 BENCH_STRATEGIES = ("g1", "polm2")
@@ -64,8 +71,9 @@ def profiling_inputs(settings: ExperimentSettings):
     workload = make_workload(BENCH_WORKLOADS[0], seed=settings.seed)
     vm = VM(SimConfig(seed=settings.seed), collector=NG2CCollector())
     recorder = Recorder()
-    dumper = Dumper(vm)
-    recorder.attach(vm, dumper)
+    dumper = Dumper()
+    vm.attach_agent(recorder)
+    vm.attach_agent(dumper)
     for model in workload.class_models():
         vm.classloader.load(model)
     workload.setup(vm)
@@ -94,32 +102,41 @@ def test_matrix_speed(tmp_path_factory):
     cached_s = timed_matrix(ExperimentRunner(bench_settings(cache_dir=cache_dir)))
 
     records, store = profiling_inputs(bench_settings())
-    analyzer = Analyzer(records, store.snapshots)
-    assert analyzer._has_delta_chain(), "profiling run should emit deltas"
-    # Legacy baseline: the pre-delta representation — every snapshot owns
-    # its full live-set — scanned with per-snapshot intersections.
-    legacy = Analyzer(
-        records,
-        [
-            Snapshot(
-                seq=s.seq,
-                time_ms=s.time_ms,
-                engine=s.engine,
-                pages_written=s.pages_written,
-                size_bytes=s.size_bytes,
-                duration_us=s.duration_us,
-                live_object_ids=s.live_object_ids,
-                incremental=s.incremental,
-            )
-            for s in store
-        ],
+    assert all(s.is_delta for s in store.snapshots[1:]), (
+        "profiling run should emit deltas"
     )
-    # The recorded-id set build is common to both paths; prebuild it so
-    # the timings isolate the counting strategy.
-    analyzer._recorded_ids()
-    legacy._recorded_ids()
-    single_pass_s = best_of(analyzer._survival_counts_delta)
-    intersection_s = best_of(legacy._survival_counts_intersection)
+    # Baseline: the pre-delta representation — every snapshot owns its
+    # full live-set — scanned with per-snapshot intersections.
+    full_snapshots = [
+        Snapshot(
+            seq=s.seq,
+            time_ms=s.time_ms,
+            engine=s.engine,
+            pages_written=s.pages_written,
+            size_bytes=s.size_bytes,
+            duration_us=s.duration_us,
+            live_object_ids=s.live_object_ids,
+            incremental=s.incremental,
+        )
+        for s in store
+    ]
+
+    def single_pass():
+        # Timed through finish(): closing the open cohorts is part of the
+        # count (it also builds the STTree, which only handicaps this side).
+        stage = IncrementalAnalyzer()
+        for snapshot in store:
+            stage.on_snapshot(snapshot)
+        stage.on_trace_flush(records)
+        stage.finish()
+        return stage.survival_counts
+
+    recorded = set(records.recorded_object_ids())
+    assert {
+        oid: count for oid, count in single_pass().items() if oid in recorded
+    } == batch_survival_counts(records, full_snapshots)
+    single_pass_s = best_of(single_pass)
+    intersection_s = best_of(lambda: batch_survival_counts(records, full_snapshots))
 
     payload = {
         "bench": "matrix_speed",
@@ -156,7 +173,7 @@ def test_matrix_speed(tmp_path_factory):
         f"{'disk cache (2nd run)':<28} {cached_s:>10.4f} "
         f"{serial_s / cached_s:>8.1f}x",
         "",
-        "Analyzer.survival_counts over "
+        "Analyzer survival counting over "
         f"{len(store)} snapshots / {records.total_allocations} allocations",
         f"{'single-pass (delta)':<28} {single_pass_s:>10.5f} "
         f"{intersection_s / single_pass_s:>8.2f}x",
@@ -174,8 +191,54 @@ def test_matrix_speed(tmp_path_factory):
         assert single_pass_s < intersection_s
 
 
+def wave_sweep(spec, profiling_ms, production_ms, jobs):
+    """The global-barrier ("wave") scheduler, frozen as a baseline.
+
+    A process pool runs every profiling cell first; only once all of
+    them have landed does any production cell start.  Yields cell keys
+    in landing order.
+    """
+    needed = {
+        key.profiling_key(): None
+        for key in spec.production_cells()
+        if get_strategy(key.strategy).needs_profile
+    }
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        profiling = {
+            pool.submit(
+                _run_profiling_cell, key.workload, key.seed, key.heap, profiling_ms
+            ): key
+            for key in needed
+        }
+        profiles = {}
+        for future in concurrent.futures.as_completed(profiling):
+            key = profiling[future]
+            profiles[key] = future.result().profile.to_json()
+            yield key
+        production = {}
+        for key in spec.production_cells():
+            profile_json = (
+                profiles[key.profiling_key()]
+                if get_strategy(key.strategy).needs_profile
+                else None
+            )
+            future = pool.submit(
+                _run_production_cell,
+                key.workload,
+                key.strategy,
+                key.seed,
+                key.heap,
+                production_ms,
+                profile_json,
+            )
+            production[future] = key
+        for future in concurrent.futures.as_completed(production):
+            future.result()
+            yield production[future]
+
+
 def test_scheduler_modes_speed(tmp_path_factory):
-    """BENCH: sharded work-stealing vs the legacy wave barrier.
+    """BENCH: sharded work-stealing vs a global wave barrier.
 
     A straggler-heavy sweep — profiling cells cost more than production
     cells, three seeds across two worker slots — is exactly where the
@@ -195,7 +258,7 @@ def test_scheduler_modes_speed(tmp_path_factory):
     )
     expected_cells = spec.size + len(spec.seeds)  # + one profiling/seed
 
-    def timed_sweep(mode, jobs=JOBS, backend=None):
+    def timed_sweep(jobs=JOBS, backend=None):
         start = time.perf_counter()
         keys = [
             item.key
@@ -204,10 +267,14 @@ def test_scheduler_modes_speed(tmp_path_factory):
                 profiling_ms=profiling_ms,
                 production_ms=production_ms,
                 jobs=jobs,
-                mode=mode,
                 backend=backend,
             )
         ]
+        return time.perf_counter() - start, keys
+
+    def timed_wave():
+        start = time.perf_counter()
+        keys = list(wave_sweep(spec, profiling_ms, production_ms, JOBS))
         return time.perf_counter() - start, keys
 
     def barrier_respected(keys) -> bool:
@@ -215,8 +282,8 @@ def test_scheduler_modes_speed(tmp_path_factory):
         flags = [key.is_profiling for key in keys]
         return True not in flags[flags.index(False) :]
 
-    sharded_s, sharded_keys = timed_sweep("sharded")
-    wave_s, wave_keys = timed_sweep("wave")
+    sharded_s, sharded_keys = timed_sweep()
+    wave_s, wave_keys = timed_wave()
     assert len(sharded_keys) == len(wave_keys) == expected_cells
     sharded_cells, wave_cells = len(sharded_keys), len(wave_keys)
     # The wave barrier is real: every profiling cell precedes every
@@ -233,8 +300,8 @@ def test_scheduler_modes_speed(tmp_path_factory):
     backend = DirCacheBackend(
         cache_root, sweep_cache_key(SimConfig(), profiling_ms, production_ms)
     )
-    timed_sweep("serial", jobs=1, backend=backend)  # warm the cache
-    cached_s, cached_keys = timed_sweep("serial", jobs=1, backend=backend)
+    timed_sweep(jobs=1, backend=backend)  # warm the cache
+    cached_s, cached_keys = timed_sweep(jobs=1, backend=backend)
     overhead_per_cell_ms = 1000.0 * cached_s / len(cached_keys)
 
     result_path = os.path.join(RESULTS_DIR, "BENCH_matrix.json")

@@ -84,6 +84,13 @@ class LegacySnapshot:
             self.is_delta = True
 
 
+def legacy_save(store: SnapshotStore, path: str) -> None:
+    """Seed save path: one ``Snapshot.to_dict`` JSON object per line."""
+    with open(path, "w") as handle:
+        for snapshot in store:
+            handle.write(json.dumps(snapshot.to_dict()) + "\n")
+
+
 def legacy_load(path: str) -> List[LegacySnapshot]:
     """Seed load path: JSON lines -> frozensets, live sets materialized."""
     snapshots: List[LegacySnapshot] = []
@@ -241,8 +248,8 @@ def test_snapshot_io_speed(tmp_path):
     store = build_store()
     jsonl_path = str(tmp_path / "snapshots.jsonl")
     bin_path = str(tmp_path / "snapshots.bin")
-    store.save(jsonl_path, format="jsonl")
-    store.save(bin_path, format="binary")
+    legacy_save(store, jsonl_path)
+    store.save(bin_path)
 
     # -- parity: both loaders reconstruct identical live sets ------------
     legacy_snapshots = legacy_load(jsonl_path)

@@ -19,10 +19,10 @@ import sys
 import tempfile
 
 from repro.config import SimConfig
-from repro.core.analyzer import Analyzer
 from repro.core.dumper import Dumper
 from repro.core.offline import analyze_recording, record_to_dir
 from repro.core.recorder import Recorder
+from repro.core.stages import IncrementalAnalyzer
 from repro.gc.gclog import GCLog
 from repro.gc.ng2c import NG2CCollector
 from repro.runtime.vm import VM
@@ -38,8 +38,9 @@ def main() -> None:
     vm = VM(SimConfig(), collector=collector)
     gclog = GCLog(vm)
     recorder = Recorder()
-    dumper = Dumper(vm)
-    recorder.attach(vm, dumper)
+    dumper = Dumper()
+    vm.attach_agent(recorder)
+    vm.attach_agent(dumper)
     for model in workload.class_models():
         vm.classloader.load(model)
     workload.setup(vm)
@@ -52,7 +53,10 @@ def main() -> None:
         print(line)
 
     print("\n=== per-site lifetime report ===")
-    analyzer = Analyzer(recorder.records, dumper.store.snapshots)
+    analyzer = IncrementalAnalyzer()
+    for snapshot in dumper.store:
+        analyzer.on_snapshot(snapshot)
+    analyzer.on_trace_flush(recorder.records)
     print(analyzer.site_report(max_sites=15))
 
     # -- the offline workflow -------------------------------------------------

@@ -28,7 +28,6 @@ Quickstart::
 """
 
 from repro.config import SimConfig
-from repro.core.analyzer import Analyzer
 from repro.core.instrumenter import Instrumenter
 from repro.core.pipeline import POLM2Pipeline, PhaseResult
 from repro.core.profile import AllocationProfile
@@ -55,7 +54,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AllocationProfile",
-    "Analyzer",
     "C4Collector",
     "G1Collector",
     "IncrementalAnalyzer",

@@ -30,7 +30,7 @@ import argparse
 import os
 import sys
 
-from repro import AllocationProfile, POLM2Pipeline, WORKLOAD_NAMES, make_workload
+from repro import POLM2Pipeline, WORKLOAD_NAMES, make_workload
 from repro.config import SimConfig, resolve_object_scale
 from repro.errors import ReproError
 from repro.experiments.runner import ExperimentRunner, ExperimentSettings
@@ -76,9 +76,9 @@ def _profile_summary(profile) -> str:
 def cmd_profile(args) -> int:
     config, duration_ms = _scaled_run(args)
     if args.keep_recording:
-        # Record-then-analyze: leaves the raw recording behind in the
-        # chosen snapshot format and produces the same profile (the
-        # streaming replay is digest-identical to the in-VM path).
+        # Record-then-analyze: leaves the raw recording behind and
+        # produces the same profile (the streaming replay is
+        # digest-identical to the in-VM path).
         from repro.core.offline import analyze_recording, record_to_dir
 
         record_to_dir(
@@ -87,7 +87,6 @@ def cmd_profile(args) -> int:
             duration_ms=duration_ms,
             seed=args.seed,
             config=config,
-            snapshot_format=args.snapshot_format,
         )
         print(f"recording kept -> {args.keep_recording}")
         profile = analyze_recording(args.keep_recording)
@@ -113,7 +112,6 @@ def cmd_record(args) -> int:
         duration_ms=duration_ms,
         seed=args.seed,
         config=config,
-        snapshot_format=args.snapshot_format,
     )
     print(f"recording saved -> {args.output}")
     return 0
@@ -281,7 +279,6 @@ def cmd_matrix(args) -> int:
         workloads=workloads,
         strategies=strategies,
         heap_configs=heap_configs,
-        mode=args.mode,
     ):
         last = item.progress
         cached += item.cached
@@ -325,18 +322,6 @@ def _add_object_scale_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_snapshot_format_option(parser: argparse.ArgumentParser) -> None:
-    from repro.snapshot.snapshot import SNAPSHOT_FORMATS
-
-    parser.add_argument(
-        "--snapshot-format",
-        choices=SNAPSHOT_FORMATS,
-        default=None,
-        help="on-disk snapshot store format (default: "
-        "$REPRO_SNAPSHOT_FORMAT or binary)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -356,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also persist the raw recording to DIR (record + analyze)",
     )
     _add_object_scale_option(p_profile)
-    _add_snapshot_format_option(p_profile)
     p_profile.set_defaults(func=cmd_profile)
 
     p_record = sub.add_parser("record", help="record raw profiling data")
@@ -365,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_record.add_argument("--duration-ms", type=float, default=30_000.0)
     p_record.add_argument("--seed", type=int, default=42)
     _add_object_scale_option(p_record)
-    _add_snapshot_format_option(p_record)
     p_record.set_defaults(func=cmd_record)
 
     p_analyze = sub.add_parser("analyze", help="analyze a recording dir")
@@ -482,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.set_defaults(func=cmd_serve)
 
-    from repro.experiments.matrix import HEAP_CONFIGS, SCHEDULER_MODES
+    from repro.experiments.matrix import HEAP_CONFIGS
 
     p_matrix = sub.add_parser(
         "matrix",
@@ -515,13 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=int(os.environ.get("REPRO_JOBS", 1)),
         help="worker processes (default: $REPRO_JOBS or 1)",
-    )
-    p_matrix.add_argument(
-        "--mode",
-        choices=SCHEDULER_MODES,
-        default="sharded",
-        help="scheduler: sharded work-stealing DAG (default), the legacy "
-        "wave barrier, or serial",
     )
     p_matrix.add_argument(
         "--cache-backend",

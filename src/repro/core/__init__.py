@@ -6,8 +6,8 @@ orchestration of §3.5:
 * profiling phase — :class:`~repro.core.recorder.Recorder` logs every
   allocation (stack trace + identity hash) and triggers the
   :class:`~repro.core.dumper.Dumper` after each GC cycle; the
-  :class:`~repro.core.analyzer.Analyzer` buckets object survival per
-  allocation stack trace and the :class:`~repro.core.sttree.STTree`
+  :class:`~repro.core.stages.IncrementalAnalyzer` buckets object
+  survival per allocation stack trace and the :class:`~repro.core.sttree.STTree`
   resolves same-site/different-lifetime conflicts, producing an
   :class:`~repro.core.profile.AllocationProfile`;
 * production phase — the :class:`~repro.core.instrumenter.Instrumenter`
@@ -15,7 +15,6 @@ orchestration of §3.5:
   profile.
 """
 
-from repro.core.analyzer import Analyzer
 from repro.core.dumper import Dumper
 from repro.core.idset import EMPTY_IDSET, IdSet
 from repro.core.instrumenter import Instrumenter
@@ -36,7 +35,6 @@ __all__ = [
     "AllocDirective",
     "AllocationProfile",
     "AllocationRecords",
-    "Analyzer",
     "CallDirective",
     "Dumper",
     "EMPTY_IDSET",

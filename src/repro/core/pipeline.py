@@ -315,7 +315,6 @@ class POLM2Pipeline:
         vm = VM(self.config, collector=collector)
         recorder = Recorder(snapshot_every=self.snapshot_every)
         dumper = Dumper()
-        recorder.dumper = dumper
         builder = ProfileBuilder(
             max_generations=self.config.max_generations, push_up=push_up
         )

@@ -31,7 +31,6 @@ from repro.runtime.events import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.dumper import Dumper
     from repro.heap.objects import HeapObject
     from repro.runtime.vm import VM
 
@@ -102,9 +101,7 @@ class AllocationRecords:
         (``streams.bin``): an 8-byte magic, then per stream a
         ``(trace_id, count)`` pair of machine int64s followed by ``count``
         int64 object ids (native byte order, straight out of the
-        ``array('q')`` buffers).  The historical layout wrote one
-        ``stream_<tid>.ids`` text file per trace — thousands of tiny files
-        on real workloads; :meth:`load_from_dir` still reads it.
+        ``array('q')`` buffers).
         """
         os.makedirs(path, exist_ok=True)
         table = {
@@ -138,23 +135,17 @@ class AllocationRecords:
             records._trace_ids[trace] = tid
             records.traces[tid] = trace
             records.streams[tid] = array("q")
-        streams_path = os.path.join(path, _STREAMS_FILENAME)
-        if os.path.exists(streams_path):
-            records._load_streams_file(streams_path)
-        else:
-            # Legacy layout: one stream_<tid>.ids text file per trace.
-            for tid in records.traces:
-                stream_path = os.path.join(path, f"stream_{tid}.ids")
-                if os.path.exists(stream_path):
-                    with open(stream_path) as handle:
-                        records.streams[tid] = array(
-                            "q", (int(line) for line in handle if line.strip())
-                        )
+        records._load_streams_file(os.path.join(path, _STREAMS_FILENAME))
         return records
 
     def _load_streams_file(self, streams_path: str) -> None:
-        with open(streams_path, "rb") as handle:
-            blob = handle.read()
+        try:
+            with open(streams_path, "rb") as handle:
+                blob = handle.read()
+        except OSError as exc:
+            raise ProfileFormatError(
+                f"{streams_path}: cannot read id streams: {exc}"
+            ) from exc
         if blob[: len(_STREAMS_MAGIC)] != _STREAMS_MAGIC:
             raise ProfileFormatError(
                 f"{streams_path}: bad magic, not a streams file"
@@ -184,7 +175,9 @@ class Recorder(VMAgent):
     As a :class:`~repro.runtime.events.VMAgent` it subscribes to raw
     allocations and ``GC_END``; when a cycle ends on a snapshot period it
     marks no-need pages and publishes ``SNAPSHOT_POINT``, which the
-    Dumper (a sibling agent) consumes.
+    Dumper (a sibling agent) consumes.  Attach it with
+    ``vm.attach_agent`` before workload classes load, exactly as a
+    ``-javaagent`` must be present at JVM launch.
     """
 
     def __init__(self, snapshot_every: int = 1, mark_no_need: bool = True) -> None:
@@ -197,7 +190,6 @@ class Recorder(VMAgent):
         self.records = AllocationRecords()
         self.instrumented_site_count = 0
         self.vm: Optional["VM"] = None
-        self.dumper: Optional["Dumper"] = None
         self._cycles_since_snapshot = 0
         #: VM trace id -> record trace id.  The VM interns each distinct
         #: stack trace once (see ``AllocSite.cached_trace_id``), so after
@@ -212,17 +204,6 @@ class Recorder(VMAgent):
 
     def on_detach(self, vm: "VM") -> None:
         self.vm = None
-
-    def attach(self, vm: "VM", dumper: Optional["Dumper"] = None) -> None:
-        """Legacy seam: attach this Recorder (and its Dumper) as agents.
-
-        Must run before workload classes are loaded, exactly as a
-        ``-javaagent`` must be present at JVM launch.
-        """
-        self.dumper = dumper
-        vm.attach_agent(self)
-        if dumper is not None:
-            vm.attach_agent(dumper)
 
     def telemetry(self) -> Dict[str, int]:
         return {

@@ -1,10 +1,7 @@
 """Streaming profile pipeline: incremental analysis stages.
 
-The batch Analyzer (paper §3.3) holds the whole snapshot sequence and
-matches every recorded id against it after the run ends — peak memory
-O(ids × snapshots).  This module restructures that dataflow as a pipeline
-of composable stages fed one event at a time, the shape ROLP-style
-runtime profilers use:
+The Analyzer (paper §3.3) runs as a pipeline of composable stages fed
+one event at a time, the shape ROLP-style runtime profilers use:
 
 * :class:`ProfileStage` — the stage protocol: ``on_snapshot`` per
   snapshot-point, ``on_trace_flush`` when the Recorder's streams land,
@@ -12,8 +9,7 @@ runtime profilers use:
 * :class:`IncrementalAnalyzer` — the bucket algorithm as a stage: each
   snapshot is credited into per-birth-index cohorts on arrival and then
   dropped, so peak memory is O(live ids), not O(ids × snapshots); its
-  artifact is the canonical :class:`~repro.core.sttree.STTree` IR,
-  byte-identical to the batch Analyzer's (same shared estimation path);
+  artifact is the canonical :class:`~repro.core.sttree.STTree` IR;
 * :class:`ProfileBuilder` — the profiling entry point: owns the stage
   list, accepts events from a source, and flattens the finished IR into
   an :class:`~repro.core.profile.AllocationProfile`;
@@ -30,10 +26,12 @@ import os
 from typing import Dict, Iterator, List, Optional, Protocol, Sequence, TYPE_CHECKING
 
 from repro.core.analyzer import (
+    LifetimeDistribution,
     build_trace_tree,
     credit_counts,
     estimate_trace_generations,
     lifetime_distributions,
+    survival_to_generation,
 )
 from repro.core.idset import IdSet
 from repro.core.profile import AllocationProfile
@@ -48,16 +46,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.recorder import Recorder
 
 #: Files of a recording directory.  Kept here, next to the code that
-#: replays them; ``repro.core.offline`` re-exports both for callers of
-#: the historical names.  New recordings default to the binary columnar
-#: ``snapshots.bin``; ``snapshots.jsonl`` stays readable as the legacy
-#: format.
+#: replays them; ``repro.core.offline`` re-exports both.
 SNAPSHOTS_BIN_FILE = "snapshots.bin"
-SNAPSHOTS_FILE = "snapshots.jsonl"
 META_FILE = "meta.json"
 
 #: Version of the recording-directory layout (``meta.json`` +
-#: ``traces.json`` + ``streams.bin`` + ``snapshots.jsonl``).  Readers
+#: ``traces.json`` + ``streams.bin`` + ``snapshots.bin``).  Readers
 #: accept this version and older; newer versions fail with a one-line
 #: error instead of misparsing.
 RECORDING_SCHEMA_VERSION = 1
@@ -82,15 +76,21 @@ class ProfileStage(Protocol):
 class IncrementalAnalyzer:
     """The bucket algorithm as a bounded-memory streaming stage.
 
-    Survival counting is the batch Analyzer's delta-chain cohort algebra
-    applied per arriving snapshot: ids are grouped into per-birth-index
-    cohorts, deaths peel off each cohort and credit the interval length.
-    A snapshot that does not chain onto the previously seen one (a full
-    image, or a delta from elsewhere) is synthesized into a born/dead
-    pair against the union of the live cohorts — crediting interval
-    lengths over those synthesized deltas sums to exactly the number of
-    snapshots each id appears live in, i.e. the batch intersection
-    count, so the resulting STTree is byte-identical either way.
+    Survival counting is delta-chain cohort algebra applied per arriving
+    snapshot: ids are grouped into per-birth-index cohorts, deaths peel
+    off each cohort and credit the interval length.  A snapshot that
+    does not chain onto the previously seen one (a full image, or a
+    delta from elsewhere) is synthesized into a born/dead pair against
+    the union of the live cohorts — crediting interval lengths over
+    those synthesized deltas sums to exactly the number of snapshots
+    each id appears live in, so chained and full inputs produce the
+    same STTree.
+
+    After :meth:`finish` the intermediate results stay readable as plain
+    attributes: :attr:`survival_counts` (object id -> snapshots it was
+    live in, for every id seen live), :attr:`id_cutoff` (the largest id
+    live in the final snapshot; later ids carry no lifetime signal),
+    :attr:`distributions` and :attr:`estimates` (per trace id).
 
     Memory: the stage keeps the survival counts, the live cohorts (id
     ints, no snapshot references), and the latest snapshot (for the
@@ -105,7 +105,10 @@ class IncrementalAnalyzer:
         self.min_samples = min_samples
         self.records: Optional[AllocationRecords] = None
         self.snapshots_seen = 0
-        self._counts: Dict[int, int] = {}
+        self.survival_counts: Dict[int, int] = {}
+        self.id_cutoff: Optional[int] = None
+        self.distributions: Dict[int, LifetimeDistribution] = {}
+        self.estimates: Dict[int, int] = {}
         #: birth index -> ids born there and still alive.
         self._cohorts: Dict[int, IdSet] = {}
         self._previous: Optional[Snapshot] = None
@@ -137,7 +140,7 @@ class IncrementalAnalyzer:
                         self._cohorts[birth] = remaining
                     else:
                         del self._cohorts[birth]
-                    credit_counts(self._counts, died, index - birth)
+                    credit_counts(self.survival_counts, died, index - birth)
         if born:
             self._cohorts[index] = born
         self._previous = snapshot
@@ -166,15 +169,60 @@ class IncrementalAnalyzer:
             cohort_max = cohort.max()
             if cutoff is None or cohort_max > cutoff:
                 cutoff = cohort_max
-            credit_counts(self._counts, cohort, total - birth)
+            credit_counts(self.survival_counts, cohort, total - birth)
         self._cohorts.clear()
         self._previous = None
-        distributions = lifetime_distributions(self.records, self._counts, cutoff)
-        estimates = estimate_trace_generations(
-            distributions, self.max_generations, self.min_samples
+        self.id_cutoff = cutoff
+        self.distributions = lifetime_distributions(
+            self.records, self.survival_counts, cutoff
         )
-        self._tree = build_trace_tree(self.records, estimates)
+        self.estimates = estimate_trace_generations(
+            self.distributions, self.max_generations, self.min_samples
+        )
+        self._tree = build_trace_tree(self.records, self.estimates)
         return self._tree
+
+    def site_report(self, max_sites: int = 40) -> str:
+        """Human-readable per-trace lifetime distributions.
+
+        One line per allocation stack trace (busiest first): sample count,
+        the survival histogram folded into generation classes, and the
+        estimated generation.  This is the "application allocation
+        profile" a human would review before trusting the instrumentation.
+        """
+        self.finish()
+        records = self.records
+        assert records is not None  # finish() above guarantees it
+        rows = sorted(
+            self.distributions.items(),
+            key=lambda item: item[1].sample_count,
+            reverse=True,
+        )[:max_sites]
+        lines = [
+            "allocation-site lifetime report "
+            f"({len(self.distributions)} traces, {self.snapshots_seen} snapshots)",
+            f"{'allocation site (innermost frame)':<52} {'samples':>8} "
+            f"{'gen':>4}  survival histogram",
+        ]
+        for trace_id, dist in rows:
+            trace = records.traces[trace_id]
+            leaf = trace[-1]
+            site = f"{leaf[0].split('.')[-1]}.{leaf[1]}:{leaf[2]}"
+            if len(trace) > 1:
+                caller = trace[-2]
+                site += f" (via {caller[1]}:{caller[2]})"
+            votes: Dict[int, int] = {}
+            for survival, count in dist.buckets.items():
+                gen = survival_to_generation(survival, self.max_generations)
+                votes[gen] = votes.get(gen, 0) + count
+            histogram = " ".join(
+                f"g{gen}:{count}" for gen, count in sorted(votes.items())
+            )
+            lines.append(
+                f"{site:<52} {dist.sample_count:>8} "
+                f"{self.estimates.get(trace_id, 0):>4}  {histogram}"
+            )
+        return "\n".join(lines)
 
 
 class ProfileBuilder:
@@ -260,9 +308,8 @@ class RecordingDirSource:
     Validates ``meta.json`` up front (missing, corrupt, or
     newer-than-supported recordings fail with a
     :class:`~repro.errors.ProfileFormatError` naming the offending path
-    and the expected schema version) and streams ``snapshots.bin``
-    (falling back to legacy ``snapshots.jsonl``) one snapshot at a
-    time, so replay memory matches the live source's.
+    and the expected schema version) and streams ``snapshots.bin`` one
+    snapshot at a time, so replay memory matches the live source's.
     """
 
     def __init__(self, recording_dir: str) -> None:
@@ -304,22 +351,13 @@ class RecordingDirSource:
         return int(self.meta.get("max_generations", 16))
 
     def iter_snapshots(self) -> Iterator[Snapshot]:
-        # New recordings write the binary columnar store; fall back to
-        # the legacy JSON-lines file when it is absent.
         path = os.path.join(self.recording_dir, SNAPSHOTS_BIN_FILE)
-        if not os.path.exists(path):
-            path = os.path.join(self.recording_dir, SNAPSHOTS_FILE)
         try:
             yield from SnapshotStore.iter_file(path)
         except OSError as exc:
             raise ProfileFormatError(
                 f"{path}: cannot read recording snapshots (recording "
                 f"schema v{RECORDING_SCHEMA_VERSION}): {exc}"
-            ) from exc
-        except ValueError as exc:
-            raise ProfileFormatError(
-                f"{path}: corrupt snapshot line (recording schema "
-                f"v{RECORDING_SCHEMA_VERSION}): {exc}"
             ) from exc
 
     def load_records(self) -> AllocationRecords:

@@ -22,11 +22,11 @@ import dataclasses
 from typing import Dict, List
 
 from repro.config import SimConfig
-from repro.core.analyzer import Analyzer
 from repro.core.dumper import Dumper
 from repro.core.pipeline import POLM2Pipeline, PhaseResult
 from repro.core.profile import AllocationProfile, AllocDirective
-from repro.core.recorder import Recorder
+from repro.core.recorder import AllocationRecords, Recorder
+from repro.core.stages import ProfileBuilder
 from repro.gc.ng2c import NG2CCollector
 from repro.runtime.vm import VM
 from repro.workloads import make_workload
@@ -88,12 +88,11 @@ class STTreeAblation:
 
 
 def build_naive_profile(
-    records, snapshots, workload: str, max_generations: int = 16
+    records: AllocationRecords, estimates: Dict[int, int], workload: str
 ) -> AllocationProfile:
-    """Per-site majority-vote profile: no conflict detection, every
-    annotated site carries an inline generation bracket."""
-    analyzer = Analyzer(records, snapshots, max_generations=max_generations)
-    estimates = analyzer.estimate_generations()
+    """Per-site majority-vote profile over per-trace generation
+    ``estimates``: no conflict detection, every annotated site carries
+    an inline generation bracket."""
     votes: Dict[tuple, collections.Counter] = collections.defaultdict(
         collections.Counter
     )
@@ -131,18 +130,22 @@ def run_sttree_ablation(
     collector = NG2CCollector()
     vm = VM(SimConfig(seed=seed), collector=collector)
     recorder = Recorder()
-    dumper = Dumper(vm)
-    recorder.attach(vm, dumper)
+    dumper = Dumper()
+    vm.attach_agent(recorder)
+    vm.attach_agent(dumper)
     for model in wl.class_models():
         vm.classloader.load(model)
     wl.setup(vm)
     while vm.clock.now_ms < profiling_ms:
         wl.tick()
     wl.teardown()
-    analyzer = Analyzer(recorder.records, dumper.store.snapshots)
-    sttree_profile = analyzer.build_profile(workload=workload)
+    builder = ProfileBuilder()
+    for snapshot in dumper.store:
+        builder.feed_snapshot(snapshot)
+    builder.feed_trace_flush(recorder.records)
+    sttree_profile = builder.build(workload=workload)
     naive_profile = build_naive_profile(
-        recorder.records, dumper.store.snapshots, workload
+        recorder.records, builder.analyzer.estimates, workload
     )
 
     def production(profile: AllocationProfile) -> PhaseResult:
@@ -342,8 +345,9 @@ def run_madvise_ablation(
         collector = NG2CCollector()
         vm = VM(SimConfig(seed=seed), collector=collector)
         recorder = Recorder(mark_no_need=mark)
-        dumper = Dumper(vm)
-        recorder.attach(vm, dumper)
+        dumper = Dumper()
+        vm.attach_agent(recorder)
+        vm.attach_agent(dumper)
         for model in wl.class_models():
             vm.classloader.load(model)
         wl.setup(vm)

@@ -20,6 +20,7 @@ from typing import Dict, List, Sequence
 from repro.config import SimConfig
 from repro.core.dumper import Dumper
 from repro.core.recorder import Recorder
+from repro.core.stages import IncrementalAnalyzer
 from repro.gc.ng2c import NG2CCollector
 from repro.runtime.code import ClassModel
 from repro.runtime.vm import VM
@@ -92,8 +93,9 @@ def measure_workload(
     collector = NG2CCollector()
     vm = VM(SimConfig(seed=seed), collector=collector)
     recorder = Recorder()
-    dumper = Dumper(vm)
-    recorder.attach(vm, dumper)
+    dumper = Dumper()
+    vm.attach_agent(recorder)
+    vm.attach_agent(dumper)
     for model in workload.class_models():
         vm.classloader.load(model)
     workload.setup(vm)
@@ -101,11 +103,13 @@ def measure_workload(
         workload.tick()
     workload.teardown()
 
-    from repro.core.analyzer import Analyzer
-
-    analyzer = Analyzer(recorder.records, dumper.store.snapshots, min_samples=1)
-    counts = analyzer.survival_counts()
-    cutoff = analyzer._id_cutoff()
+    analyzer = IncrementalAnalyzer(min_samples=1)
+    for snapshot in dumper.store:
+        analyzer.on_snapshot(snapshot)
+    analyzer.on_trace_flush(recorder.records)
+    analyzer.finish()
+    counts = analyzer.survival_counts
+    cutoff = analyzer.id_cutoff
     observed = 0
     survivors = {threshold: 0 for threshold in SURVIVAL_THRESHOLDS}
     for object_id in recorder.records.recorded_object_ids():

@@ -19,6 +19,7 @@ from repro.config import SimConfig
 from repro.core.dumper import Dumper
 from repro.core.recorder import Recorder
 from repro.gc.ng2c import NG2CCollector
+from repro.runtime.events import GC_END
 from repro.runtime.vm import VM
 from repro.snapshot.jmap import JmapDumper
 from repro.snapshot.snapshot import Snapshot
@@ -72,13 +73,14 @@ def run_workload(
     collector = NG2CCollector()
     vm = VM(SimConfig(seed=seed), collector=collector)
     recorder = Recorder()
-    dumper = Dumper(vm)
-    recorder.attach(vm, dumper)
+    dumper = Dumper()
+    vm.attach_agent(recorder)
+    vm.attach_agent(dumper)
 
     jmap = JmapDumper(vm.config.costs)
     shadow: List[Snapshot] = []
 
-    def shadow_jmap(pause) -> None:
+    def shadow_jmap(event) -> None:
         # Runs after the Recorder's listener (registration order), so the
         # CRIU snapshot for this cycle already exists; dump the same live
         # set the jmap way, without advancing the clock.
@@ -87,7 +89,7 @@ def run_workload(
                 jmap.dump(vm.heap, collector.last_live_objects, vm.clock.now_ms)
             )
 
-    collector.add_cycle_listener(shadow_jmap)
+    vm.events.subscribe(GC_END, shadow_jmap)
     for model in workload.class_models():
         vm.classloader.load(model)
     workload.setup(vm)

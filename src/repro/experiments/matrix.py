@@ -18,9 +18,8 @@ module is the machinery that makes such a sweep practical:
   slots; a slot that drains its shard steals from the fullest one, so a
   straggler cell never idles the rest of the fleet.  A POLM2 production
   cell unblocks the moment *its* (workload, seed, heap) profiling cell
-  lands — there is no global profiling barrier (``mode="wave"`` keeps
-  the old barrier semantics for benchmarking the difference).  Results
-  **stream back incrementally** as :class:`CellResult` values with live
+  lands — there is no global profiling barrier.  Results **stream back
+  incrementally** as :class:`CellResult` values with live
   progress (cells done/total, cells/sec, ETA); nothing accumulates
   behind an end-of-matrix barrier.
 * :func:`pooled_pause_percentiles` — multi-seed aggregation: pause
@@ -28,7 +27,7 @@ module is the machinery that makes such a sweep practical:
   alongside, so every figure can say how much data backs its tail.
 
 Every cell is deterministic in (workload, strategy, seed, heap-config,
-durations) — virtual clock, fixed seed — so serial, sharded, and wave
+durations) — virtual clock, fixed seed — so serial and sharded
 schedules produce byte-identical cells, and a cache hit is
 indistinguishable from a recompute.
 """
@@ -72,9 +71,6 @@ CACHE_FORMAT = "matrix-cache-v4"
 
 #: The pseudo-strategy key the profiling phase is cached under.
 PROFILING_KEY = "polm2-profiling"
-
-#: Scheduler modes accepted by :func:`run_sweep`.
-SCHEDULER_MODES = ("sharded", "wave", "serial")
 
 #: Named heap configurations a sweep can range over.  Values are
 #: :class:`SimConfig` field overrides applied to the base config; the
@@ -299,9 +295,7 @@ _FORMAT_MARKER = "FORMAT.json"
 class DirCacheBackend(CacheBackend):
     """One JSON file per cell: ``<root>/<sweep-key>/<cell_id>.json``.
 
-    The default backend, unchanged layout from the original
-    ``MatrixCache`` apart from the cell ids now carrying seed and
-    heap-config.  Writes are atomic: each runner writes to a
+    The default backend.  Writes are atomic: each runner writes to a
     per-process unique temp name (pid + random suffix) and
     ``os.replace``\\ s it in, so two concurrent runners storing the same
     cell can never clobber each other mid-rename — last writer wins
@@ -712,7 +706,6 @@ def run_sweep(
     production_ms: float = 60_000.0,
     backend: Optional[CacheBackend] = None,
     jobs: int = 1,
-    mode: str = "sharded",
     preloaded: Optional[Mapping[CellKey, PhaseResult]] = None,
     profile_source: Optional[str] = None,
     clock: Callable[[], float] = time.perf_counter,
@@ -735,17 +728,10 @@ def run_sweep(
     live outside the cache key, so neither a stale hit nor a poisoned
     store is possible.
 
-    ``mode="sharded"`` (the default) uses the work-stealing scheduler
-    with the per-cell DAG; ``mode="wave"`` inserts the legacy global
-    barrier between the profiling and production waves (kept for
-    benchmarking scheduler overhead); ``mode="serial"`` — or ``jobs=1``
-    — runs in-process in deterministic sweep order.  All three produce
-    byte-identical cells.
+    ``jobs > 1`` uses the work-stealing scheduler with the per-cell
+    DAG; ``jobs=1`` runs in-process in deterministic sweep order.  Both
+    produce byte-identical cells.
     """
-    if mode not in SCHEDULER_MODES:
-        raise ReproError(
-            f"unknown scheduler mode {mode!r} (known: {', '.join(SCHEDULER_MODES)})"
-        )
     if jobs < 1:
         raise ReproError(f"jobs must be >= 1, got {jobs}")
     preloaded = dict(preloaded or {})
@@ -854,7 +840,7 @@ def run_sweep(
         if not pending and not pending_profiling:
             return
 
-        if jobs == 1 or mode == "serial":
+        if jobs == 1:
             # Deterministic sweep order; each needed profiling cell runs
             # immediately before its first dependent.
             profiled = set(profiles)
@@ -899,7 +885,6 @@ def run_sweep(
             production_ms=production_ms,
             backend=backend,
             jobs=jobs,
-            barrier=(mode == "wave"),
         )
     finally:
         if backend is not None:
@@ -917,27 +902,20 @@ def _run_sweep_pool(
     production_ms: float,
     backend: Optional[CacheBackend],
     jobs: int,
-    barrier: bool,
 ) -> Iterator[CellResult]:
-    """The parallel scheduler body shared by sharded and wave modes."""
+    """The parallel scheduler body: sharded work-stealing over the DAG."""
     scheduler = _ShardedScheduler(jobs)
-    deferred_production: List[CellKey] = []
     blocked_cells = {dep for deps in blocked.values() for dep in deps}
     for key in pending_profiling:
         scheduler.push(key)
     for key in pending:
-        if barrier and pending_profiling:
-            # Wave mode: *no* production cell starts before every
-            # profiling cell has landed — the global two-wave barrier.
-            deferred_production.append(key)
-        elif key in blocked_cells:
-            pass  # the DAG releases it when its profiling cell lands
-        else:
+        if key not in blocked_cells:
+            # Blocked cells wait: the DAG releases each one when its
+            # profiling cell lands.
             scheduler.push(key)
 
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         in_flight: Dict[concurrent.futures.Future, Tuple[CellKey, int]] = {}
-        profiling_left = len(pending_profiling)
 
         def submit(key: CellKey, slot: int) -> None:
             if key.is_profiling:
@@ -986,16 +964,8 @@ def _run_sweep_pool(
                 result = future.result()
                 yield computed(key, result)
                 if key.is_profiling:
-                    profiling_left -= 1
                     for dependent in blocked.pop(key, []):
-                        if not barrier:
-                            scheduler.push(dependent)
-                    if barrier and profiling_left == 0:
-                        # Wave barrier: release every production cell at
-                        # once, only now that all profiles exist.
-                        for dependent in deferred_production:
-                            scheduler.push(dependent)
-                        deferred_production = []
+                        scheduler.push(dependent)
             fill(free_slots)
 
 

@@ -15,7 +15,7 @@ the profiling phase can run against realistic load.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.config import SimConfig
 from repro.core.dumper import Dumper
@@ -67,10 +67,11 @@ def _run(workload_name: str, seed: int, ticks: int, profiler: str):
     agent = None
     if profiler == "polm2":
         agent = Recorder()
-        agent.attach(vm, Dumper(vm))
+        vm.attach_agent(agent)
+        vm.attach_agent(Dumper())
     elif profiler == "exact":
         agent = ExactLifetimeTracer()
-        agent.attach(vm)
+        vm.attach_agent(agent)
     for model in workload.class_models():
         vm.classloader.load(model)
     workload.setup(vm)
@@ -87,7 +88,7 @@ def run(
     build_profiles: bool = False,
 ) -> OverheadResult:
     baseline_ms, _ = _run(workload, seed, ticks, profiler="none")
-    polm2_ms, recorder = _run(workload, seed, ticks, profiler="polm2")
+    polm2_ms, _ = _run(workload, seed, ticks, profiler="polm2")
     exact_ms, tracer = _run(workload, seed, ticks, profiler="exact")
     result = OverheadResult(
         workload=workload,
@@ -97,8 +98,5 @@ def run(
         exact_ms=exact_ms,
     )
     if build_profiles:
-        from repro.core.analyzer import Analyzer
-
-        # recorder was attached with a Dumper; rebuild the analyzer input.
         result.exact_profile = tracer.build_profile(workload=workload)
     return result

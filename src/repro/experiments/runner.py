@@ -67,7 +67,6 @@ __all__ = [
     "PAUSE_STRATEGIES",
     "ExperimentRunner",
     "ExperimentSettings",
-    "MatrixCache",
     "code_version",
     "default_runner",
     "reset_default_runner",
@@ -165,51 +164,6 @@ class ExperimentSettings:
         if self.cache_dir:
             return DirCacheBackend(self.cache_dir, key)
         return None
-
-
-class MatrixCache(DirCacheBackend):
-    """The legacy (workload, strategy) view of the JSON-dir backend.
-
-    Kept for compatibility: cells are addressed by (workload, strategy)
-    at the settings' single seed and the default heap config.  New code
-    should use a :class:`~repro.experiments.matrix.CacheBackend` with
-    full :class:`~repro.experiments.matrix.CellKey` addressing.
-    """
-
-    def __init__(
-        self, root: str, config: SimConfig, settings: ExperimentSettings
-    ) -> None:
-        self.seed = settings.seed
-        super().__init__(
-            root,
-            sweep_cache_key(
-                config, settings.profiling_ms, settings.production_ms
-            ),
-        )
-
-    def _cell_key(self, workload: str, strategy: str) -> CellKey:
-        return CellKey(workload=workload, strategy=strategy, seed=self.seed)
-
-    def load(self, workload: str, strategy: str) -> Optional[PhaseResult]:  # type: ignore[override]
-        return super().load(self._cell_key(workload, strategy))
-
-    def store(self, workload: str, strategy: str, result: PhaseResult) -> None:  # type: ignore[override]
-        super().store(self._cell_key(workload, strategy), result)
-
-
-# -- worker-process entry points (re-exported; implementations live in
-# matrix.py so the sweep engine and the runner share one code path) ------------
-from repro.experiments.matrix import (  # noqa: E402
-    _run_production_cell,
-    _run_profiling_cell,
-)
-
-
-def _worker_pipeline(workload: str, seed: int) -> POLM2Pipeline:
-    return POLM2Pipeline(
-        workload_factory=lambda w=workload, s=seed: make_workload(w, seed=s),
-        config=SimConfig(seed=seed),
-    )
 
 
 class ExperimentRunner:
@@ -441,7 +395,6 @@ class ExperimentRunner:
         seeds: Optional[Sequence[int]] = None,
         heap_configs: Sequence[str] = ("default",),
         jobs: Optional[int] = None,
-        mode: str = "sharded",
     ) -> Iterator[CellResult]:
         """Stream the (workload × strategy × seed × heap-config) sweep.
 
@@ -465,7 +418,6 @@ class ExperimentRunner:
             production_ms=self.settings.production_ms,
             backend=self._backend,
             jobs=self.settings.jobs if jobs is None else jobs,
-            mode=mode,
             preloaded=preloaded,
             profile_source=self.settings.profile_source,
         ):

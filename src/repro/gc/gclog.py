@@ -13,9 +13,9 @@ from __future__ import annotations
 from typing import List, Optional, TYPE_CHECKING
 
 from repro.gc.events import GCPause
+from repro.runtime.events import GC_END, GCEndEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.gc.base import GenerationalCollector
     from repro.runtime.vm import VM
 
 _MIB = 1024 * 1024
@@ -30,9 +30,10 @@ class GCLog:
         self._before_bytes: Optional[int] = None
         if vm.collector is None:
             raise ValueError("attach a collector before enabling the GC log")
-        vm.collector.add_cycle_listener(self._on_pause)
+        vm.events.subscribe(GC_END, self._on_gc_end)
 
-    def _on_pause(self, pause: GCPause) -> None:
+    def _on_gc_end(self, event: GCEndEvent) -> None:
+        pause = event.pause
         heap = self.vm.heap
         after = heap.used_bytes
         before = self._before_bytes if self._before_bytes is not None else after

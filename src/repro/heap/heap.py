@@ -456,9 +456,15 @@ class SimHeap:
         regions: Sequence[Region],
         live,
         source_gen: Generation,
-        destination_for,
+        destination_for: EvacuationPlan,
     ) -> Tuple[int, int, int]:
         """Copy live objects out of ``regions`` and reclaim the regions.
+
+        Run-at-a-time over the region columns.  Per source region: one
+        bulk occupancy subtraction, one columnar mark pass collapsing
+        liveness into position runs, a plan split into maximal
+        same-destination sub-runs (lane-arithmetic aging for tenuring
+        plans), and a column-slice copy per placed chunk.
 
         Args:
             regions: collection-set regions (must belong to ``source_gen``).
@@ -467,42 +473,19 @@ class SimHeap:
                 :class:`~repro.core.idset.IdSet`, or a ``Set[int]`` of
                 reachable object ids.
             source_gen: generation owning the regions.
-            destination_for: an :class:`~repro.heap.evacuation.EvacuationPlan`
-                (the vectorized path every shipped collector uses) or a
-                legacy per-object callable ``obj -> Generation``.
+            destination_for: the :class:`~repro.heap.evacuation
+                .EvacuationPlan` mapping survivors to destination
+                generations.
 
         Returns:
             ``(survivor_bytes, promoted_bytes, scanned_objects)`` where
             promoted bytes are those copied into a *different* generation.
         """
-        if isinstance(destination_for, EvacuationPlan):
-            return self._evacuate_columnar(
-                regions, live, source_gen, destination_for
-            )
-        return self._evacuate_objects(regions, live, source_gen, destination_for)
-
-    def _evacuate_columnar(
-        self,
-        regions: Sequence[Region],
-        live,
-        source_gen: Generation,
-        plan: EvacuationPlan,
-    ) -> Tuple[int, int, int]:
-        """Run-at-a-time evacuation over the region columns.
-
-        Per source region: one bulk occupancy subtraction, one columnar
-        mark pass collapsing liveness into position runs, a plan split
-        into maximal same-destination sub-runs (lane-arithmetic aging for
-        tenuring plans), and a column-slice copy per placed chunk.  The
-        observable results — addresses, page bits, occupancy counters,
-        remembered-set insertions, byte accounting — are identical to the
-        historical per-object loop, object for object.
-        """
         survivor_bytes = 0
         promoted_bytes = 0
         scanned = 0
         page_table = self.page_table
-        sync_ages = plan.sync_ages
+        sync_ages = destination_for.sync_ages
         remset = self.old_to_young_remset
         for region in regions:
             source_gen.release_region(region)
@@ -518,7 +501,8 @@ class SimHeap:
                 region.base, region._offsets, 0, count, region.top, -1
             )
             source_gen_id = region.gen_id
-            for start, stop, dest in plan.split(region, region.live_runs(live)):
+            runs = region.live_runs(live)
+            for start, stop, dest in destination_for.split(region, runs):
                 placed = dest.place_slice(
                     page_table, region, start, stop, sync_ages=sync_ages
                 )
@@ -538,49 +522,6 @@ class SimHeap:
                                 # Promotion created an old->young edge.
                                 remset[obj.object_id] = obj
                                 break
-            # Occupancy already handed over; don't untrack again on free.
-            region.wipe_contents()
-            self.free_region(region)
-        return survivor_bytes, promoted_bytes, scanned
-
-    def _evacuate_objects(
-        self,
-        regions: Sequence[Region],
-        live,
-        source_gen: Generation,
-        destination_for,
-    ) -> Tuple[int, int, int]:
-        """Legacy per-object evacuation (callable destination policies)."""
-        use_epoch = isinstance(live, int)
-        survivor_bytes = 0
-        promoted_bytes = 0
-        scanned = 0
-        page_table = self.page_table
-        for region in regions:
-            source_gen.release_region(region)
-        for region in regions:
-            for obj in region.objects:
-                scanned += 1
-                # The old copy disappears whether or not the object
-                # survives; untrack before allocation rewrites the address.
-                page_table.untrack_object(obj.address, obj.size)
-                if use_epoch:
-                    if obj.mark_epoch != live:
-                        continue
-                elif obj.object_id not in live:
-                    continue
-                dest = destination_for(obj)
-                address = dest.allocate(obj)
-                page_table.place_object(address, obj.size)
-                if dest.gen_id != region.gen_id:
-                    promoted_bytes += obj.size
-                else:
-                    survivor_bytes += obj.size
-                if dest.gen_id != YOUNG_GEN and any(
-                    child.gen_id == YOUNG_GEN for child in obj._refs
-                ):
-                    # Promotion created an old->young edge.
-                    self.old_to_young_remset[obj.object_id] = obj
             # Occupancy already handed over; don't untrack again on free.
             region.wipe_contents()
             self.free_region(region)

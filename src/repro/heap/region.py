@@ -36,7 +36,6 @@ keep their last placement values when a region's columns are discarded
 
 from __future__ import annotations
 
-import warnings
 from array import array
 from bisect import bisect_left, bisect_right
 from typing import List, Optional, Tuple
@@ -411,17 +410,13 @@ class Region:
         ``obj.mark_epoch`` equals it), an :class:`IdSet`, or a plain
         ``set``/``frozenset`` of live object ids.  All forms funnel
         through the columnar mark column and a run-sum over the offset
-        prefix sums; any other ``live`` type falls back to the deprecated
-        per-object scan.
+        prefix sums; any other ``live`` type raises :class:`TypeError`.
         """
         if not isinstance(live, (int, IdSet, set, frozenset)):
-            warnings.warn(
-                "per-object live_bytes fallback is deprecated; pass a mark "
-                "epoch, an IdSet, or a set of object ids",
-                DeprecationWarning,
-                stacklevel=2,
+            raise TypeError(
+                "live must be a mark epoch, an IdSet, or a set of object "
+                f"ids, not {type(live).__name__}"
             )
-            return sum(obj.size for obj in self.objects if obj.object_id in live)
         starts, stops = _flags_to_bounds(self.live_flags(live))
         if not starts:
             return 0

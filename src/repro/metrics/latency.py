@@ -16,7 +16,7 @@ time, pauses are point events), which keeps it exact and free.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Sequence, TYPE_CHECKING
+from typing import List, Sequence, TYPE_CHECKING
 
 from repro.metrics.percentiles import percentile
 

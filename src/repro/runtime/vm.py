@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from array import array
 from bisect import bisect_right
 from itertools import accumulate
@@ -72,10 +71,9 @@ class VM:
         self._batch_alloc_listeners: List[Callable] = self.events.listener_list(
             ALLOCATION_BATCH
         )
-        #: ALLOCATION subscribers with no batch hook (legacy shims, agents
-        #: defining only ``on_allocation``).  While any exist,
-        #: ``allocate_batch`` on a record-hooked site falls back to scalar
-        #: dispatch so no subscriber ever misses an allocation.
+        #: Attached agents defining ``on_allocation`` but no batch hook.
+        #: While any exist, ``allocate_batch`` on a record-hooked site
+        #: falls back to scalar dispatch so no agent misses an allocation.
         self._scalar_only_alloc_listeners = 0
         self._agents: List = []
         self.classloader.on_loaded = self._publish_class_load
@@ -169,30 +167,6 @@ class VM:
     def _publish_class_load(self, class_model: "ClassModel") -> None:
         if self.events.has_listeners(CLASS_LOAD):
             self.events.publish(CLASS_LOAD, ClassLoadEvent(class_model))
-
-    # -- legacy listener API (shims over the bus) ----------------------------------
-
-    def add_alloc_listener(self, listener: AllocListener) -> None:
-        """Deprecated seam: subscribe to ALLOCATION on :attr:`events`."""
-        warnings.warn(
-            "VM.add_alloc_listener is deprecated; subscribe to ALLOCATION "
-            "on vm.events, or attach a VMAgent defining on_allocation",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.events.subscribe(ALLOCATION, listener)
-        # A bare callable has no batch hook: keep allocate_batch honest.
-        self._scalar_only_alloc_listeners += 1
-
-    def remove_alloc_listener(self, listener: AllocListener) -> None:
-        warnings.warn(
-            "VM.remove_alloc_listener is deprecated; unsubscribe from "
-            "ALLOCATION on vm.events",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.events.unsubscribe(ALLOCATION, listener)
-        self._scalar_only_alloc_listeners -= 1
 
     # -- roots ----------------------------------------------------------------------
 

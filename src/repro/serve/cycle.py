@@ -214,7 +214,6 @@ class ProfilingCycleEngine:
         vm = VM(self.config, collector=collector)
         recorder = Recorder(snapshot_every=self.snapshot_every)
         dumper = Dumper()
-        recorder.dumper = dumper
         builder = ProfileBuilder(
             max_generations=self.config.max_generations, push_up=self.push_up
         )

@@ -25,7 +25,7 @@ import json
 import os
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config import SimConfig
 from repro.core.profile import AllocationProfile

@@ -9,7 +9,6 @@ Cassandra driver and any future workload share one tested implementation.
 from __future__ import annotations
 
 import dataclasses
-import math
 import random
 from typing import Iterator, Tuple
 

@@ -1,15 +1,22 @@
-"""Analyzer hot-path tests: delta single-pass parity and memoization."""
+"""Analyzer hot-path tests: delta-chain parity with the batch oracle and
+one-shot finishing."""
 
 import random
 
 from repro.config import SimConfig
-from repro.core.analyzer import Analyzer
+from repro.core import stages
 from repro.core.dumper import Dumper
 from repro.core.recorder import AllocationRecords, Recorder
+from repro.core.stages import IncrementalAnalyzer, ProfileBuilder
 from repro.gc.g1 import G1Collector
 from repro.runtime.code import ClassModel
 from repro.runtime.vm import VM
 from repro.snapshot.snapshot import Snapshot
+from tests.core.batch_analyzer_oracle import (
+    batch_id_cutoff,
+    batch_survival_counts,
+)
+from tests.core.test_analyzer import analyze
 
 TRACE_A = (("C", "site_a", 10),)
 TRACE_B = (("C", "site_b", 20),)
@@ -68,6 +75,16 @@ def random_live_sets(rng, ids, n_snapshots):
     return live_sets
 
 
+def recorded_counts(analyzer: IncrementalAnalyzer):
+    """The stage's survival counts narrowed to recorded ids."""
+    recorded = set(analyzer.records.recorded_object_ids())
+    return {
+        oid: count
+        for oid, count in analyzer.survival_counts.items()
+        if oid in recorded
+    }
+
+
 def build_records(ids):
     records = AllocationRecords()
     for oid in ids:
@@ -82,34 +99,32 @@ class TestDeltaFastPathParity:
         live_sets = random_live_sets(rng, ids, 20)
         records = build_records(ids)
 
-        delta = Analyzer(records, delta_snapshots(live_sets))
-        full = Analyzer(
+        delta = analyze(records, delta_snapshots(live_sets))
+        full = analyze(
             records,
             [full_snapshot(i, s) for i, s in enumerate(live_sets, start=1)],
         )
-        assert delta._has_delta_chain()
-        assert not full._has_delta_chain()
-        assert dict(delta.survival_counts()) == dict(full.survival_counts())
-        assert delta._id_cutoff() == full._id_cutoff()
-        assert {
-            t: d.buckets for t, d in delta.distributions().items()
-        } == {t: d.buckets for t, d in full.distributions().items()}
-        assert delta.estimate_generations() == full.estimate_generations()
+        assert delta.survival_counts == full.survival_counts
+        assert delta.id_cutoff == full.id_cutoff
+        assert {t: d.buckets for t, d in delta.distributions.items()} == {
+            t: d.buckets for t, d in full.distributions.items()
+        }
+        assert delta.estimates == full.estimates
 
     def test_fast_path_internal_methods_agree(self):
         rng = random.Random(11)
         ids = list(range(1, 60))
         live_sets = random_live_sets(rng, ids, 12)
-        analyzer = Analyzer(build_records(ids), delta_snapshots(live_sets))
-        assert dict(analyzer._survival_counts_delta()) == dict(
-            analyzer._survival_counts_intersection()
-        )
+        records = build_records(ids)
+        snaps = delta_snapshots(live_sets)
+        analyzer = analyze(records, snaps)
+        assert recorded_counts(analyzer) == batch_survival_counts(records, snaps)
+        assert analyzer.id_cutoff == batch_id_cutoff(snaps)
 
     def test_fast_path_avoids_materializing_tail(self):
         live_sets = [{1, 2}, {2, 3}, {3, 4}, {4, 5}]
         snaps = delta_snapshots(live_sets)
-        analyzer = Analyzer(build_records([1, 2, 3, 4, 5]), snaps)
-        analyzer.distributions()
+        analyze(build_records([1, 2, 3, 4, 5]), snaps)
         # Neither survival counting nor the id cutoff needed the full
         # cumulative live-set of the later snapshots.
         assert not snaps[-1].is_materialized
@@ -119,56 +134,57 @@ class TestDeltaFastPathParity:
         snaps = delta_snapshots(live_sets)
         # A foreign full snapshot in the middle breaks the chain.
         mixed = [snaps[0], full_snapshot(5, {7}), snaps[1]]
-        analyzer = Analyzer(build_records([1, 2, 3, 7]), mixed)
-        assert not analyzer._has_delta_chain()
-        counts = analyzer.survival_counts()
-        assert counts[7] == 1
+        records = build_records([1, 2, 3, 7])
+        analyzer = analyze(records, mixed)
+        assert analyzer.survival_counts[7] == 1
+        assert recorded_counts(analyzer) == batch_survival_counts(records, mixed)
 
 
 class TestMemoization:
     def test_results_cached_across_calls(self):
         live_sets = [{1, 2}, {2, 3}]
-        analyzer = Analyzer(
-            build_records([1, 2, 3]), delta_snapshots(live_sets)
-        )
-        assert analyzer.survival_counts() is analyzer.survival_counts()
-        assert analyzer.distributions() is analyzer.distributions()
-        assert (
-            analyzer.estimate_generations() is analyzer.estimate_generations()
-        )
+        analyzer = analyze(build_records([1, 2, 3]), delta_snapshots(live_sets))
+        counts = analyzer.survival_counts
+        distributions = analyzer.distributions
+        assert analyzer.finish() is analyzer.finish()
+        assert analyzer.survival_counts is counts
+        assert analyzer.distributions is distributions
 
     def test_survival_counts_computed_once(self, monkeypatch):
         live_sets = [{1, 2}, {2, 3}]
-        analyzer = Analyzer(
-            build_records([1, 2, 3]), delta_snapshots(live_sets)
-        )
+        builder = ProfileBuilder()
+        for snapshot in delta_snapshots(live_sets):
+            builder.feed_snapshot(snapshot)
+        builder.feed_trace_flush(build_records([1, 2, 3]))
         calls = {"n": 0}
-        original = Analyzer._survival_counts_delta
+        original = stages.lifetime_distributions
 
-        def counting(self):
+        def counting(*args):
             calls["n"] += 1
-            return original(self)
+            return original(*args)
 
-        monkeypatch.setattr(Analyzer, "_survival_counts_delta", counting)
-        analyzer.build_profile()
-        analyzer.site_report()
-        analyzer.build_profile()
+        monkeypatch.setattr(stages, "lifetime_distributions", counting)
+        builder.build()
+        builder.analyzer.site_report()
+        builder.build()
         assert calls["n"] == 1
 
 
 class TestHumongousMixedLifetimes:
     def test_delta_matches_intersection_with_humongous_objects(self):
-        """Fast path == fallback on a mixed-lifetime run with humongous objects.
+        """Delta chain == batch oracle on a mixed-lifetime run with
+        humongous objects.
 
         Multi-region objects never move and are reclaimed by a separate
         path than regular evacuation, so their ids enter and leave the
         snapshot live-sets differently — the delta cohort algebra must
-        still count them exactly like the intersection fallback.
+        still count them exactly like the intersection oracle.
         """
         vm = VM(SimConfig.small(), collector=G1Collector())
         recorder = Recorder(snapshot_every=1)
-        dumper = Dumper(vm)
-        recorder.attach(vm, dumper)
+        dumper = Dumper()
+        vm.attach_agent(recorder)
+        vm.attach_agent(dumper)
         region = vm.heap.region_size
         model = ClassModel("H")
         method = model.add_method("run")
@@ -197,12 +213,9 @@ class TestHumongousMixedLifetimes:
         assert humongous_high_water > 0
         assert len(dumper.store) >= 3
 
-        analyzer = Analyzer(recorder.records, list(dumper.store))
-        assert analyzer._has_delta_chain()
-        recorded = analyzer._recorded_ids()
-        delta_counts = {
-            oid: count
-            for oid, count in analyzer._survival_counts_delta().items()
-            if oid in recorded
-        }
-        assert delta_counts == dict(analyzer._survival_counts_intersection())
+        snaps = list(dumper.store)
+        assert all(s.is_delta for s in snaps[1:])
+        analyzer = analyze(recorder.records, snaps)
+        assert recorded_counts(analyzer) == batch_survival_counts(
+            recorder.records, snaps
+        )

@@ -6,9 +6,10 @@ from typing import Dict, List, Set
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.analyzer import Analyzer, survival_to_generation
+from repro.core.analyzer import survival_to_generation
 from repro.core.recorder import AllocationRecords
 from repro.snapshot.snapshot import Snapshot
+from tests.core.test_analyzer import analyze
 
 
 def make_snapshot(seq: int, live_ids) -> Snapshot:
@@ -72,8 +73,8 @@ class TestBucketAlgorithmProperties:
     @settings(max_examples=60, deadline=None)
     def test_survival_counts_match_ground_truth(self, lifetimes):
         records, snapshots = build_world(lifetimes)
-        analyzer = Analyzer(records, snapshots, min_samples=1)
-        counts = analyzer.survival_counts()
+        analyzer = analyze(records, snapshots, min_samples=1)
+        counts = analyzer.survival_counts
         for index, lifetime in enumerate(lifetimes):
             object_id = index + 1
             expected = min(lifetime, len(snapshots))
@@ -85,15 +86,15 @@ class TestBucketAlgorithmProperties:
     @settings(max_examples=60, deadline=None)
     def test_distribution_accounts_every_object(self, lifetimes):
         records, snapshots = build_world(lifetimes)
-        analyzer = Analyzer(records, snapshots, min_samples=1)
-        dist = analyzer.distributions()[1]
+        analyzer = analyze(records, snapshots, min_samples=1)
+        dist = analyzer.distributions[1]
         assert dist.sample_count == len(lifetimes)
 
     @given(lifetimes=populations)
     @settings(max_examples=60, deadline=None)
     def test_estimate_within_observed_range(self, lifetimes):
         records, snapshots = build_world(lifetimes)
-        analyzer = Analyzer(records, snapshots, min_samples=1)
-        estimate = analyzer.estimate_generations()[1]
+        analyzer = analyze(records, snapshots, min_samples=1)
+        estimate = analyzer.estimates[1]
         max_possible = survival_to_generation(len(snapshots), 16)
         assert 0 <= estimate <= max_possible

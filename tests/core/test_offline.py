@@ -12,7 +12,6 @@ from repro.core.offline import (
     record_to_dir,
 )
 from repro.core.pipeline import POLM2Pipeline
-from repro.core.recorder import AllocationRecords
 from repro.errors import ProfileFormatError
 from repro.snapshot.snapshot import Snapshot, SnapshotStore
 from repro.workloads import make_workload
@@ -34,7 +33,7 @@ class TestSnapshotPersistence:
                     incremental=seq > 1,
                 )
             )
-        path = str(tmp_path / "snaps.jsonl")
+        path = str(tmp_path / "snaps.bin")
         store.save(path)
         loaded = SnapshotStore.load(path)
         assert len(loaded) == 2
@@ -52,9 +51,8 @@ class TestRecordAnalyze:
 
     def test_recording_directory_contents(self, recording):
         assert os.path.exists(os.path.join(recording, "traces.json"))
-        # Recordings default to the binary columnar snapshot store.
+        assert os.path.exists(os.path.join(recording, "streams.bin"))
         assert os.path.exists(os.path.join(recording, "snapshots.bin"))
-        assert not os.path.exists(os.path.join(recording, "snapshots.jsonl"))
         with open(os.path.join(recording, "meta.json")) as handle:
             meta = json.load(handle)
         assert meta["workload"] == "cassandra-wi"
@@ -92,17 +90,10 @@ class TestRecordingFormatErrors:
 
     @pytest.fixture(scope="class")
     def recording(self, tmp_path_factory):
-        # Recorded in the legacy jsonl format: the corruption tests below
-        # exercise the JSON-lines error paths (binary-store corruption is
-        # covered in tests/snapshot/test_binary_store.py).
+        # Binary-store corruption inside snapshots.bin is covered in
+        # tests/snapshot/test_binary_store.py.
         out = str(tmp_path_factory.mktemp("rec-err") / "cassandra-wi")
-        record_to_dir(
-            "cassandra-wi",
-            out,
-            duration_ms=4_000.0,
-            seed=5,
-            snapshot_format="jsonl",
-        )
+        record_to_dir("cassandra-wi", out, duration_ms=4_000.0, seed=5)
         return out
 
     def _copy(self, recording, tmp_path):
@@ -155,44 +146,31 @@ class TestRecordingFormatErrors:
         assert streams_path in message
         assert "truncated" in message
 
+    def test_missing_streams_names_path(self, recording, tmp_path):
+        broken = self._copy(recording, tmp_path)
+        streams_path = os.path.join(broken, "streams.bin")
+        os.remove(streams_path)
+        with pytest.raises(ProfileFormatError) as err:
+            analyze_recording(broken)
+        message = str(err.value)
+        assert "\n" not in message
+        assert streams_path in message
+
     def test_missing_snapshots_names_path(self, recording, tmp_path):
         broken = self._copy(recording, tmp_path)
-        snapshots_path = os.path.join(broken, "snapshots.jsonl")
+        snapshots_path = os.path.join(broken, "snapshots.bin")
         os.remove(snapshots_path)
         with pytest.raises(ProfileFormatError) as err:
             analyze_recording(broken)
         assert snapshots_path in str(err.value)
 
-    def test_corrupt_snapshot_line_names_path(self, recording, tmp_path):
+    def test_snapshots_not_a_store_names_bad_magic(self, recording, tmp_path):
         broken = self._copy(recording, tmp_path)
-        snapshots_path = os.path.join(broken, "snapshots.jsonl")
-        with open(snapshots_path, "a") as handle:
-            handle.write("{broken line\n")
+        snapshots_path = os.path.join(broken, "snapshots.bin")
+        with open(snapshots_path, "w") as handle:
+            handle.write('{"seq": 1}\n')
         with pytest.raises(ProfileFormatError) as err:
             analyze_recording(broken)
         message = str(err.value)
         assert snapshots_path in message
-        assert "corrupt snapshot line" in message
-
-
-class TestLegacyStreamLayout:
-    """Pre-streams.bin recordings (one text file per trace) still analyze."""
-
-    def test_legacy_layout_round_trips(self, tmp_path):
-        modern = str(tmp_path / "modern")
-        record_to_dir("cassandra-wi", modern, duration_ms=4_000.0, seed=3)
-
-        legacy = str(tmp_path / "legacy")
-        shutil.copytree(modern, legacy)
-        records = AllocationRecords.load_from_dir(legacy)
-        os.remove(os.path.join(legacy, "streams.bin"))
-        for tid, stream in records.streams.items():
-            with open(os.path.join(legacy, f"stream_{tid}.ids"), "w") as handle:
-                handle.write("\n".join(str(oid) for oid in stream))
-
-        from_modern = analyze_recording(modern)
-        from_legacy = analyze_recording(legacy)
-        assert from_legacy.to_json() == from_modern.to_json()
-        assert (
-            from_legacy.sttree.digest() == from_modern.sttree.digest()
-        )
+        assert "bad magic, not a snapshot store" in message

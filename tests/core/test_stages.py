@@ -1,4 +1,4 @@
-"""Streaming stage pipeline: incremental == batch, bounded memory."""
+"""Streaming stage pipeline: incremental == batch oracle, bounded memory."""
 
 import gc
 import random
@@ -6,9 +6,9 @@ import weakref
 
 import pytest
 
-from repro.core.analyzer import Analyzer
 from repro.core.stages import IncrementalAnalyzer, ProfileBuilder
 from repro.errors import ProfileError
+from tests.core.batch_analyzer_oracle import batch_profile, batch_sttree
 from tests.core.test_analyzer_delta import (
     build_records,
     delta_snapshots,
@@ -26,7 +26,7 @@ def streamed_tree(records, snapshots, **kwargs):
 
 
 def assert_tree_parity(records, snapshots, **kwargs):
-    batch = Analyzer(records, snapshots, **kwargs).build_sttree()
+    batch = batch_sttree(records, snapshots, **kwargs)
     streamed = streamed_tree(records, snapshots, **kwargs)
     assert streamed.digest() == batch.digest()
     assert streamed.to_json() == batch.to_json()
@@ -47,13 +47,13 @@ class TestIncrementalBatchParity:
         assert_tree_parity(build_records(ids), snaps)
 
     def test_broken_chain(self):
-        # A foreign full snapshot in the middle: the batch Analyzer falls
-        # back to intersection counting; the stage synthesizes deltas.
+        # A foreign full snapshot in the middle: the stage synthesizes
+        # deltas around it.
         live_sets = [{1, 2}, {2, 3}, {3, 7}, {7, 9}]
         snaps = delta_snapshots(live_sets)
         mixed = [snaps[0], snaps[1], full_snapshot(3, {3, 7}), snaps[3]]
         records = build_records([1, 2, 3, 7, 9])
-        assert not Analyzer(records, mixed)._has_delta_chain()
+        assert snaps[3].predecessor is not mixed[2]
         assert_tree_parity(records, mixed, min_samples=1)
 
     def test_resurrections_with_low_min_samples(self):
@@ -158,9 +158,7 @@ class TestProfileBuilder:
         builder.feed_trace_flush(records)
         streamed = builder.build(workload="synthetic")
 
-        batch = Analyzer(records, snaps, min_samples=1).build_profile(
-            workload="synthetic"
-        )
+        batch = batch_profile(records, snaps, workload="synthetic", min_samples=1)
         assert streamed.to_json() == batch.to_json()
 
     def test_metadata_keys(self):

@@ -23,6 +23,7 @@ class TestNaiveProfile:
     def test_naive_profile_brackets_every_site(self):
         from repro.core.recorder import AllocationRecords
         from repro.snapshot.snapshot import Snapshot
+        from tests.core.test_analyzer import analyze
 
         records = AllocationRecords()
         trace = (("C", "put", 1), ("Util", "clone", 9))
@@ -40,7 +41,8 @@ class TestNaiveProfile:
             )
             for i in range(1, 5)
         ]
-        profile = ablations.build_naive_profile(records, snapshots, "unit")
+        estimates = analyze(records, snapshots).estimates
+        profile = ablations.build_naive_profile(records, estimates, "unit")
         assert len(profile.alloc_directives) == 1
         directive = profile.alloc_directives[0]
         assert directive.pre_set_gen is not None

@@ -88,16 +88,16 @@ class TestDiskCacheParity:
         from repro.config import SimConfig
 
         cache_dir = str(tmp_path / "cache")
-        from repro.experiments.runner import MatrixCache
 
-        base = MatrixCache(cache_dir, SimConfig(), settings())
-        other = MatrixCache(
-            cache_dir, SimConfig(), settings(production_ms=PRODUCTION_MS + 1)
-        )
-        assert base.key != other.key
+        def key(**overrides):
+            backend = settings(cache_dir=cache_dir, **overrides).open_backend(
+                SimConfig()
+            )
+            return backend.key
+
+        assert key() != key(production_ms=PRODUCTION_MS + 1)
         # jobs/cache_dir are performance knobs, not result inputs.
-        same = MatrixCache(cache_dir, SimConfig(), settings(jobs=8))
-        assert base.key == same.key
+        assert key() == key(jobs=8)
 
 
 class TestPauseSeries:

@@ -58,6 +58,12 @@ class TestAccounting:
         assert region.live_bytes({a.object_id, b.object_id}) == 300
         assert region.live_bytes(set()) == 0
 
+    def test_live_bytes_rejects_other_live_types(self, region):
+        a = HeapObject(size=100)
+        region.bump_allocate(a)
+        with pytest.raises(TypeError, match="mark epoch"):
+            region.live_bytes([a.object_id])
+
     def test_page_span_empty(self, region):
         assert list(region.page_span(4096)) == []
 

@@ -24,9 +24,9 @@ import json
 from typing import Dict, List, Optional
 
 from repro.config import SimConfig, resolve_object_scale
-from repro.core.analyzer import Analyzer
 from repro.core.dumper import Dumper
 from repro.core.recorder import Recorder
+from repro.core.stages import IncrementalAnalyzer
 from repro.gc.c4 import C4Collector
 from repro.gc.g1 import G1Collector
 from repro.gc.ng2c import NG2CCollector
@@ -80,8 +80,9 @@ def _record_scenario(
     )
     vm = VM(config, collector=_COLLECTORS[collector_name]())
     recorder = Recorder(snapshot_every=1)
-    dumper = Dumper(vm)
-    recorder.attach(vm, dumper)
+    dumper = Dumper()
+    vm.attach_agent(recorder)
+    vm.attach_agent(dumper)
     workload = make_workload(workload_name, seed=seed)
     for model in workload.class_models():
         vm.classloader.load(model)
@@ -90,6 +91,15 @@ def _record_scenario(
         workload.tick()
     workload.teardown()
     return vm, recorder, dumper
+
+
+def analyze_sttree(records, snapshots):
+    """The STTree the streaming Analyzer builds from one recording."""
+    stage = IncrementalAnalyzer()
+    for snapshot in snapshots:
+        stage.on_snapshot(snapshot)
+    stage.on_trace_flush(records)
+    return stage.finish()
 
 
 def scenario_sttree(*scenario, object_scale: Optional[int] = None):
@@ -102,7 +112,7 @@ def scenario_sttree(*scenario, object_scale: Optional[int] = None):
     _vm, recorder, dumper = _record_scenario(
         *scenario, object_scale=object_scale
     )
-    return Analyzer(recorder.records, list(dumper.store)).build_sttree()
+    return analyze_sttree(recorder.records, dumper.store)
 
 
 def run_scenario(
@@ -156,7 +166,7 @@ def run_scenario(
     ]
     # The analysis stage must also be invariant: the STTree built from the
     # recording is reduced to its content hash (schema-versioned IR).
-    sttree = Analyzer(records, list(dumper.store)).build_sttree()
+    sttree = analyze_sttree(records, dumper.store)
     return {
         "scenario": {
             "workload": workload_name,

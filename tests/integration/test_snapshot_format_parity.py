@@ -1,7 +1,8 @@
-"""jsonl <-> binary snapshot-store parity on the golden scenarios.
+"""Binary snapshot store vs the JSON-lines reference format, on the
+golden scenarios.
 
-Whatever the on-disk layout, a recording must analyze to the same
-profile: both formats are written from the same fixed-seed runs (the
+The binary store must hold exactly what the historical one-JSON-object-
+per-line file held: both are written from the same fixed-seed runs (the
 gc-loop parity scenarios), read back, and compared snapshot-for-snapshot
 and digest-for-digest through the streaming analyzer.
 """
@@ -12,16 +13,10 @@ import os
 
 import pytest
 
-from repro.config import SimConfig
-from repro.core.dumper import Dumper
-from repro.core.recorder import Recorder
 from repro.core.stages import ProfileBuilder
-from repro.heap.objects import _reset_identity_hashes
-from repro.runtime.vm import VM
-from repro.snapshot.snapshot import SnapshotStore
-from repro.workloads import make_workload
+from repro.snapshot.snapshot import Snapshot, SnapshotStore
 
-from tests.integration.parity_harness import SCENARIOS, _COLLECTORS
+from tests.integration.parity_harness import SCENARIOS, _record_scenario
 
 # The two quick scenarios run per-test; the full matrix is covered by the
 # module-level round-trip below.
@@ -29,25 +24,29 @@ _FAST = [s for s in SCENARIOS if s[4] <= 1500.0]
 
 
 def _record(workload_name, collector_name, use_remsets, seed, duration_ms):
-    _reset_identity_hashes()
-    config = SimConfig(
-        heap_bytes=16 * 1024 * 1024,
-        young_bytes=2 * 1024 * 1024,
-        seed=seed,
-        use_remembered_sets=use_remsets,
+    _vm, recorder, dumper = _record_scenario(
+        workload_name, collector_name, use_remsets, seed, duration_ms
     )
-    vm = VM(config, collector=_COLLECTORS[collector_name]())
-    recorder = Recorder(snapshot_every=1)
-    dumper = Dumper(vm)
-    recorder.attach(vm, dumper)
-    workload = make_workload(workload_name, seed=seed)
-    for model in workload.class_models():
-        vm.classloader.load(model)
-    workload.setup(vm)
-    while vm.clock.now_ms < duration_ms:
-        workload.tick()
-    workload.teardown()
     return recorder, dumper
+
+
+# -- the JSON-lines snapshot file, frozen as the reference format: one
+# -- ``Snapshot.to_dict`` payload per line, deltas chained on read.
+
+
+def save_jsonl(store, path):
+    with open(path, "w") as handle:
+        for snapshot in store:
+            handle.write(json.dumps(snapshot.to_dict()) + "\n")
+
+
+def iter_jsonl(path):
+    previous = None
+    with open(path) as handle:
+        for line in handle:
+            if line.strip():
+                previous = Snapshot.from_dict(json.loads(line), predecessor=previous)
+                yield previous
 
 
 def _digest_snapshots(snapshots):
@@ -72,14 +71,13 @@ def _digest_snapshots(snapshots):
     "scenario", SCENARIOS, ids=["-".join(map(str, s[:2])) for s in SCENARIOS]
 )
 def test_jsonl_binary_round_trip_identical(scenario, tmp_path):
-    _reset_identity_hashes()
     _, dumper = _record(*scenario[:4], min(scenario[4], 900.0))
     jsonl = str(tmp_path / "snapshots.jsonl")
     binary = str(tmp_path / "snapshots.bin")
-    dumper.store.save(jsonl, format="jsonl")
-    dumper.store.save(binary, format="binary")
+    save_jsonl(dumper.store, jsonl)
+    dumper.store.save(binary)
     original = _digest_snapshots(dumper.store)
-    assert _digest_snapshots(SnapshotStore.load(jsonl)) == original
+    assert _digest_snapshots(iter_jsonl(jsonl)) == original
     assert _digest_snapshots(SnapshotStore.load(binary)) == original
 
 
@@ -88,12 +86,17 @@ def test_jsonl_binary_round_trip_identical(scenario, tmp_path):
 )
 def test_profiles_identical_across_formats(scenario, tmp_path):
     recorder, dumper = _record(*scenario[:4], min(scenario[4], 900.0))
+    jsonl = str(tmp_path / "snapshots.jsonl")
+    binary = str(tmp_path / "snapshots.bin")
+    save_jsonl(dumper.store, jsonl)
+    dumper.store.save(binary)
     digests = {}
-    for fmt, name in (("jsonl", "snapshots.jsonl"), ("binary", "snapshots.bin")):
-        path = str(tmp_path / name)
-        dumper.store.save(path, format=fmt)
+    for fmt, snapshots in (
+        ("jsonl", iter_jsonl(jsonl)),
+        ("binary", SnapshotStore.iter_file(binary)),
+    ):
         builder = ProfileBuilder()
-        for snapshot in SnapshotStore.iter_file(path):
+        for snapshot in snapshots:
             builder.feed_snapshot(snapshot)
         builder.feed_trace_flush(recorder.records)
         digests[fmt] = builder.analyzer.finish().digest()
@@ -104,6 +107,6 @@ def test_binary_is_smaller_on_disk(tmp_path):
     _, dumper = _record(*SCENARIOS[0][:4], 900.0)
     jsonl = str(tmp_path / "snapshots.jsonl")
     binary = str(tmp_path / "snapshots.bin")
-    dumper.store.save(jsonl, format="jsonl")
-    dumper.store.save(binary, format="binary")
+    save_jsonl(dumper.store, jsonl)
+    dumper.store.save(binary)
     assert os.path.getsize(binary) < os.path.getsize(jsonl)

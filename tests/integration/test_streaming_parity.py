@@ -1,63 +1,34 @@
-"""IncrementalAnalyzer == batch Analyzer on the golden scenarios.
+"""IncrementalAnalyzer == batch oracle on the golden scenarios.
 
 Each parity scenario is run once through the full profiling stack; the
 captured recording (allocation streams + snapshot store) is then analyzed
-twice — by the batch :class:`~repro.core.analyzer.Analyzer` and by the
-streaming :class:`~repro.core.stages.IncrementalAnalyzer` — and the two
-serialized STTree IRs must match byte for byte (same digest, same JSON).
+twice — by the frozen batch oracle (``tests/core/batch_analyzer_oracle``)
+and by the streaming :class:`~repro.core.stages.IncrementalAnalyzer` —
+and the two serialized STTree IRs must match byte for byte (same digest,
+same JSON).
 """
 
 import pytest
 
-from repro.config import SimConfig
-from repro.core.analyzer import Analyzer
-from repro.core.dumper import Dumper
-from repro.core.recorder import Recorder
-from repro.core.stages import IncrementalAnalyzer
-from repro.heap.objects import _reset_identity_hashes
-from repro.runtime.vm import VM
-from repro.workloads import make_workload
-from tests.integration.parity_harness import _COLLECTORS, SCENARIOS
-
-
-def _record_scenario(workload_name, collector_name, use_remsets, seed, duration_ms):
-    """One profiling run, returning the raw records and snapshot store."""
-    _reset_identity_hashes()
-    config = SimConfig(
-        heap_bytes=16 * 1024 * 1024,
-        young_bytes=2 * 1024 * 1024,
-        seed=seed,
-        use_remembered_sets=use_remsets,
-    )
-    vm = VM(config, collector=_COLLECTORS[collector_name]())
-    recorder = Recorder(snapshot_every=1)
-    dumper = Dumper(vm)
-    recorder.attach(vm, dumper)
-    workload = make_workload(workload_name, seed=seed)
-    for model in workload.class_models():
-        vm.classloader.load(model)
-    workload.setup(vm)
-    while vm.clock.now_ms < duration_ms:
-        workload.tick()
-    workload.teardown()
-    return recorder.records, dumper.store
+from tests.core.batch_analyzer_oracle import batch_sttree
+from tests.integration.parity_harness import (
+    SCENARIOS,
+    _record_scenario,
+    analyze_sttree,
+)
 
 
 @pytest.mark.parametrize(
     "scenario", SCENARIOS, ids=lambda s: f"{s[0]}-{s[1]}-seed{s[3]}"
 )
 def test_streaming_tree_is_byte_identical(scenario):
-    records, store = _record_scenario(*scenario)
+    _vm, recorder, dumper = _record_scenario(*scenario)
+    records, store = recorder.records, dumper.store
     assert len(store) > 0
     assert records.total_allocations > 0
 
-    batch_tree = Analyzer(records, list(store)).build_sttree()
-
-    stage = IncrementalAnalyzer()
-    for snapshot in store:
-        stage.on_snapshot(snapshot)
-    stage.on_trace_flush(records)
-    streamed_tree = stage.finish()
+    batch_tree = batch_sttree(records, list(store))
+    streamed_tree = analyze_sttree(records, store)
 
     assert streamed_tree.digest() == batch_tree.digest()
     assert streamed_tree.to_json() == batch_tree.to_json()

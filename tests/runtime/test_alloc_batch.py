@@ -203,8 +203,8 @@ class TestBatchEvents:
 
         # A scalar-only ALLOCATION subscriber must force the fallback —
         # but vm.events.subscribe is the raw bus, which the VM cannot
-        # introspect; only agents and the legacy shim are counted.  Use
-        # an agent defining both hooks so batching stays legal.
+        # introspect; only attached agents are counted.  Use an agent
+        # defining both hooks so batching stays legal.
         sizes = [64] * 100
         thread = vm.new_thread("t")
         with thread.entry("C", "run"):
@@ -293,16 +293,6 @@ class TestScalarFallbacks:
         with thread.entry("C", "run"):
             objs = vm.allocate_batch(thread, site, [huge, 64], materialize=True)
         assert [o.size for o in objs] == [huge, 64]
-
-    def test_legacy_shim_listener_forces_fallback(self):
-        vm, site = build_vm(G1Collector, record_hook=True)
-        hits = []
-        with pytest.deprecated_call():
-            vm.add_alloc_listener(lambda obj, s, trace: hits.append(obj))
-        thread = vm.new_thread("t")
-        with thread.entry("C", "run"):
-            vm.allocate_batch(thread, site, [64] * 5)
-        assert len(hits) == 5
 
 
 class TestThreadAllocBatch:

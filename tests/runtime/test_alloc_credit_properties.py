@@ -148,8 +148,9 @@ class Driver:
         self.recorder = self.dumper = None
         if recorded:
             self.recorder = Recorder(snapshot_every=1)
-            self.dumper = Dumper(self.vm)
-            self.recorder.attach(self.vm, self.dumper)
+            self.dumper = Dumper()
+            self.vm.attach_agent(self.recorder)
+            self.vm.attach_agent(self.dumper)
         self.vm.classloader.load(class_model())
         self.thread = self.vm.new_thread("t")
         self.oracle = oracle

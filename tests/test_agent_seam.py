@@ -1,9 +1,11 @@
-"""Guard: the event bus stays the only seam into the VM.
+"""Guard: ``vm.attach_agent`` stays the only allocation seam into the VM.
 
-The agent/event refactor routed every profiler through
-``vm.attach_agent``.  This test keeps it that way: no module outside
-``repro/runtime`` may call ``VM.add_alloc_listener`` directly — new
-observers must be agents on the bus.
+Every profiler reaches the VM as an agent.  An allocation listener
+subscribed straight onto the bus (``vm.events.subscribe(ALLOCATION,
+...)``) bypasses the agent bookkeeping that makes ``allocate_batch``
+fall back to scalar dispatch for subscribers without a batch hook, so it
+would silently miss batched allocations.  No module outside
+``repro/runtime`` may do that — new observers must be agents.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import os
 
 import repro
 
-#: Modules allowed to reference the legacy listener API: the runtime
-#: itself (where the shim lives).
+#: Modules allowed to subscribe allocation listeners directly: the
+#: runtime itself (where ``attach_agent`` lives).
 _ALLOWED_PREFIX = os.path.join("repro", "runtime") + os.sep
 
 
@@ -35,10 +37,10 @@ def test_no_direct_alloc_listener_calls_outside_runtime():
             continue
         with open(path) as handle:
             source = handle.read()
-        if ".add_alloc_listener(" in source:
+        if "subscribe(ALLOCATION" in source:
             offenders.append(rel)
     assert offenders == [], (
-        "these modules bypass the agent seam with direct "
-        f"VM.add_alloc_listener calls: {offenders}; subscribe via "
+        "these modules bypass the agent seam with direct ALLOCATION "
+        f"subscriptions: {offenders}; attach a VMAgent via "
         "vm.attach_agent(...) instead"
     )

@@ -1,6 +1,8 @@
-"""Every example script must at least parse and expose a main()."""
+"""Every example script must parse, expose a main(), and import only
+names that exist."""
 
 import ast
+import importlib
 import os
 
 import pytest
@@ -39,3 +41,25 @@ class TestExamples:
         with open(path) as handle:
             tree = ast.parse(handle.read(), filename=name)
         assert ast.get_docstring(tree), name
+
+    @pytest.mark.parametrize("name", EXAMPLE_FILES)
+    def test_repro_imports_resolve(self, name):
+        """A deleted public name must not break an example silently."""
+        path = os.path.join(EXAMPLES_DIR, name)
+        with open(path) as handle:
+            tree = ast.parse(handle.read(), filename=name)
+        missing = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.module or ""
+            ).split(".")[0] == "repro":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    qualified = f"{node.module}.{alias.name}"
+                    if hasattr(module, alias.name):
+                        continue
+                    try:  # ``from package import submodule``
+                        importlib.import_module(qualified)
+                    except ImportError:
+                        missing.append(qualified)
+        assert missing == [], f"{name} imports missing names: {missing}"
